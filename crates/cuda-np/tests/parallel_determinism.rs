@@ -15,10 +15,14 @@
 //!
 //! A CUDA-NP transformed kernel rides along so the sweep covers the
 //! master/slave remapping the paper is about, not just hand-written IR.
+//! Its racy conformance mutants (a dropped barrier, an un-gated broadcast)
+//! cover the merge of per-block race reports: block-local pcs rebased,
+//! the finding cap re-applied across block boundaries.
 
-use cuda_np::{gating_policy, transform, tuner::alloc_extra_buffers, NpOptions};
+use cuda_np::conformance::{drop_barrier, drop_broadcast_guard};
+use cuda_np::{gating_policy, transform, tuner::alloc_extra_buffers, NpOptions, Transformed};
 use np_exec::{launch, Args, KernelReport, RaceCheckMode, SimOptions};
-use np_gpu_sim::racecheck::{GatingPolicy, RaceCheckOptions};
+use np_gpu_sim::racecheck::{GatingPolicy, RaceCheckOptions, RaceFinding, RaceReport};
 use np_gpu_sim::DeviceConfig;
 use np_kernel_ir::expr::dsl::*;
 use np_kernel_ir::types::Dim3;
@@ -30,9 +34,17 @@ fn dev() -> DeviceConfig {
 }
 
 fn armed(threads: Option<usize>, policy: Option<GatingPolicy>) -> SimOptions {
+    armed_capped(threads, policy, None)
+}
+
+fn armed_capped(
+    threads: Option<usize>,
+    policy: Option<GatingPolicy>,
+    max_findings: Option<usize>,
+) -> SimOptions {
     SimOptions::full()
         .with_race_check(RaceCheckMode::Record)
-        .with_race_options(RaceCheckOptions { max_findings: None, policy })
+        .with_race_options(RaceCheckOptions { max_findings, policy })
         .with_interp_threads(threads)
 }
 
@@ -139,8 +151,133 @@ fn raw_kernel(block: u32) -> Kernel {
     b.finish()
 }
 
+/// A kernel whose transform stages the live-in `scale` through a guarded
+/// shared-memory broadcast between barriers. Narrow blocks keep the
+/// mutants' findings per block few, so small caps truncate inside later
+/// blocks too.
+fn bcast_kernel(width: u32) -> Kernel {
+    let mut b = KernelBuilder::new("bcast", width);
+    b.param_global_f32("src");
+    b.param_global_f32("out");
+    b.decl_i32("gid", tidx() + bidx() * bdimx());
+    b.decl_f32("scale", load("src", v("gid")));
+    b.pragma_for("np parallel for", "n", i(0), i(16), |b| {
+        b.store("out", v("gid") * i(16) + v("n"), v("scale") * cast(Scalar::F32, v("n")));
+    });
+    b.finish()
+}
+
+/// NP options for the racy sweep: intra-warp with `__shfl` off, so both
+/// layouts broadcast through shared memory and have mutants to make.
+fn bcast_opts(slave_size: u32, inter: bool) -> NpOptions {
+    if inter {
+        NpOptions::inter(slave_size)
+    } else {
+        NpOptions { use_shfl: Some(false), ..NpOptions::intra(slave_size) }
+    }
+}
+
+/// The transform of [`bcast_kernel`] and its conformance mutants: one per
+/// droppable barrier, plus the un-gated broadcast.
+fn racy_mutants(width: u32, opts: &NpOptions) -> (Transformed, Vec<Kernel>) {
+    let t = transform(&bcast_kernel(width), opts).expect("bcast accepts all swept configs");
+    let mut mutants: Vec<Kernel> =
+        (0..).map_while(|site| drop_barrier(&t.kernel, site)).collect();
+    mutants.extend(drop_broadcast_guard(&t.kernel));
+    (t, mutants)
+}
+
+/// Launch one mutant on `grid` blocks, serially and on `pool` workers,
+/// with the finding cap `max_findings`; the race reports must be
+/// byte-identical. Returns the serial report and the mutant's name.
+fn racy_reports_agree(
+    width: u32,
+    opts: &NpOptions,
+    pick: usize,
+    grid: u32,
+    pool: usize,
+    max_findings: Option<usize>,
+) -> (RaceReport, String) {
+    let (t, mutants) = racy_mutants(width, opts);
+    let mutant = &mutants[pick % mutants.len()];
+    let n = (width * grid) as usize;
+    let make = || {
+        let args = Args::new()
+            .buf_f32("src", (0..n).map(|i| (i % 7) as f32 - 3.0).collect())
+            .buf_f32("out", vec![0.0; n * 16]);
+        alloc_extra_buffers(args, &t, Dim3::x1(grid))
+    };
+    let run = |threads| {
+        let sim = armed_capped(Some(threads), gating_policy(&t), max_findings);
+        run_bits(mutant, grid, make(), &sim, "out").0
+    };
+    let (serial, parallel) = (run(1), run(pool));
+    assert_eq!(
+        serial.race.to_json(),
+        parallel.race.to_json(),
+        "{} width={width} grid={grid} pool={pool} cap={max_findings:?}: race reports differ",
+        mutant.name
+    );
+    (serial.race, mutant.name.clone())
+}
+
+fn finding_block(f: &RaceFinding) -> u64 {
+    match f {
+        RaceFinding::MemoryRace { block, .. }
+        | RaceFinding::MasterGatingViolation { block, .. }
+        | RaceFinding::BarrierDivergence { block, .. } => *block,
+        _ => unreachable!("no other finding kinds"),
+    }
+}
+
+/// The sweep below is only a test of the merge if the mutants race and
+/// caps really do cut the findings after the first block: every un-gated
+/// broadcast must race, and over all mutants small caps must truncate
+/// reports whose findings span several blocks, with gating violations
+/// (whose pc the merge rebases) from later blocks.
+#[test]
+fn racy_sweep_truncates_across_block_boundaries() {
+    let (mut cut_late, mut late_gating) = (false, false);
+    for inter in [true, false] {
+        let opts = bcast_opts(2, inter);
+        let n_mutants = racy_mutants(2, &opts).1.len();
+        assert!(n_mutants >= 2, "{opts:?}: a barrier and a guard to drop");
+        for pick in 0..n_mutants {
+            for cap in 1..=8 {
+                let (rep, name) = racy_reports_agree(2, &opts, pick, 4, 3, Some(cap));
+                if name.ends_with("_unguarded") {
+                    assert!(!rep.is_clean(), "{name}: an un-gated broadcast races");
+                }
+                let last = rep.findings.last().map_or(0, finding_block);
+                cut_late |= rep.truncated && last > 0;
+                late_gating |= rep.findings.iter().any(|f| {
+                    matches!(f, RaceFinding::MasterGatingViolation { block, .. } if *block > 0)
+                });
+            }
+        }
+    }
+    assert!(cut_late, "no cap truncated after block 0");
+    assert!(late_gating, "no gating violation outside block 0");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Racy launches: the per-block race reports checked on the workers
+    /// merge to the serial report byte for byte, under caps from 1 to 8.
+    #[test]
+    fn racy_mutants_are_pool_size_invariant(
+        width in prop_oneof![Just(2u32), Just(4)],
+        slave_pow in 1u32..=2,
+        inter in any::<bool>(),
+        pick in 0usize..8,
+        grid in 4u32..=8,
+        pool in 2usize..=4,
+        max_findings in proptest::option::of(1usize..=8),
+    ) {
+        let opts = bcast_opts(1 << slave_pow, inter);
+        racy_reports_agree(width, &opts, pick, grid, pool, max_findings);
+    }
 
     /// Shared-memory barrier kernels over random shapes: parallel blocks,
     /// no cross-block traffic — the common path.

@@ -9,14 +9,12 @@
 //! cache) replays to the same answer as the live capture.
 //!
 //! Also pinned here: the autotuner interprets each runnable candidate
-//! exactly once (the interpretation-count probe), and its winner's
+//! exactly once (the `exec.interpretations` counter), and its winner's
 //! stored capture replays to the winner's exact report.
 
 use cuda_np::tuner::{alloc_extra_buffers, autotune, default_candidates};
 use cuda_np::{transform, NpOptions};
-use np_exec::{
-    capture_launch, interpretation_count, launch, replay_launch, KernelReport,
-};
+use np_exec::{capture_launch, launch, replay_launch, KernelReport};
 use np_gpu_sim::{CapturedLaunch, DeviceConfig};
 use np_workloads::{all_workloads, Scale, Workload};
 
@@ -202,12 +200,11 @@ fn autotune_winner_capture_replays_to_winner_report() {
     }
 }
 
-/// The interpretation-count probe from the acceptance criteria: one
-/// autotune sweep interprets each runnable candidate exactly once —
-/// replays and report plumbing add zero interpretations. Counted with
-/// the process-global probe, so this test runs the sweep serially and
-/// tolerates no concurrent launches of its own making (the probe delta
-/// is measured around a single call).
+/// One autotune sweep interprets each runnable candidate exactly once —
+/// replays and report plumbing add zero interpretations. Counted by the
+/// `exec.interpretations` counter of a registry this test installs in its
+/// own np-obs scope (the tuner's per-candidate forks carry it), so
+/// launches of tests running concurrently in this binary never reach it.
 #[test]
 fn autotune_interprets_each_candidate_exactly_once() {
     let dev = dev();
@@ -217,17 +214,21 @@ fn autotune_interprets_each_candidate_exactly_once() {
     let opts = w.sim_options();
     let candidates = default_candidates(kernel.block_dim.x, 1024);
 
-    let before = interpretation_count();
-    let result = autotune(
-        &kernel,
-        &dev,
-        grid,
-        &|t| alloc_extra_buffers(w.make_args(), t, grid),
-        &opts,
-        &candidates,
-    )
+    let reg = np_obs::Registry::new();
+    let interpretations = reg.counter("exec.interpretations");
+    let rec = np_obs::Recorder::buffer(1 << 16);
+    let result = np_obs::scope(&rec, Some(&reg), None, || {
+        autotune(
+            &kernel,
+            &dev,
+            grid,
+            &|t| alloc_extra_buffers(w.make_args(), t, grid),
+            &opts,
+            &candidates,
+        )
+    })
     .unwrap_or_else(|e| panic!("autotune failed: {e}"));
-    let interpreted = interpretation_count() - before;
+    let interpreted = interpretations.get();
 
     // Candidates that never reached the simulator (transform rejection)
     // cost zero interpretations; everything else costs exactly one.
@@ -244,11 +245,8 @@ fn autotune_interprets_each_candidate_exactly_once() {
     );
 
     // And replaying the winner afterwards adds none.
-    let before = interpretation_count();
-    replay_launch(&dev, &result.best_capture, &opts).expect("winner replays");
-    assert_eq!(
-        interpretation_count() - before,
-        0,
-        "replay must not interpret"
-    );
+    np_obs::scope(&rec, Some(&reg), None, || {
+        replay_launch(&dev, &result.best_capture, &opts).expect("winner replays");
+    });
+    assert_eq!(interpretations.get(), interpreted, "replay must not interpret");
 }

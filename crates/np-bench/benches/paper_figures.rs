@@ -260,7 +260,7 @@ fn profile_counters(c: &mut Criterion) {
 /// (`BENCH_results.json` at the repo root) from a Test-scale sweep, assert
 /// it is byte-identical across two back-to-back generations, and measure
 /// the sweep+serialize cost. CI diffs the file against the committed
-/// `BENCH_baseline.json` with tolerances.
+/// `BENCH_baseline.gtx680.json` with tolerances.
 fn bench_trajectory(c: &mut Criterion) {
     use np_harness::{runner, trajectory};
     let dev = DeviceConfig::gtx680();

@@ -25,18 +25,18 @@
 //! * a real fault in block `b` stops the merge exactly where a sequential
 //!   run would have stopped: earlier blocks' stores land, later blocks'
 //!   never ran as far as the caller can tell;
-//! * happens-before race events are journaled with block-local step
-//!   numbers and replayed into one recorder in block order, rebased by
-//!   the cumulative step count — reproducing sequential `pc` values.
+//! * each block is race-checked by its own recorder on the worker that
+//!   interprets it (the checker's state is per block anyway); the merge
+//!   appends the block reports in block order, rebasing their block-local
+//!   `pc`s by the cumulative step count and re-applying the finding cap —
+//!   reproducing the sequential report byte for byte.
 //!
 //! Fault injection (one seeded counter across blocks) and
 //! [`RaceCheckMode::Fatal`] (mid-launch abort at an exact global step)
 //! are inherently sequential and force the fallback path.
 
 use crate::fault::{FaultKind, SimFault};
-use crate::interp::{
-    bit_set, bitmaps_intersect, run_block, BlockLog, LaunchCtx, RaceEvent, StoreRec,
-};
+use crate::interp::{bit_set, bitmaps_intersect, run_block, BlockLog, LaunchCtx, StoreRec};
 use crate::machine::{Args, ExecError, GlobalState};
 use crate::resources::estimate_resources;
 use np_gpu_sim::capture::{CapturedLaunch, CapturedRaceMode};
@@ -54,18 +54,6 @@ use np_kernel_ir::slots::InternedKernel;
 use np_kernel_ir::types::Dim3;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Monotone count of functional kernel interpretations this process has
-/// performed (one per [`launch`] or [`capture_launch`]; replays do not
-/// count). Tests use deltas of this to assert "interpret once, replay
-/// many" — e.g. that a tuner sweep interprets each transformed kernel
-/// exactly once.
-static INTERPRETATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot of the process-wide interpretation counter.
-pub fn interpretation_count() -> u64 {
-    INTERPRETATIONS.load(Ordering::SeqCst)
-}
 
 /// Default watchdog budget: far above anything a legitimate workload
 /// interprets, yet reached within seconds by a runaway empty loop.
@@ -474,7 +462,8 @@ fn race_mode_tag(m: CapturedRaceMode) -> &'static str {
 
 /// Shared front half of [`launch`] and [`capture_launch`]: bind, intern,
 /// interpret (parallel when possible), unbind — everything up to but not
-/// including the timing engine. Counts one interpretation on the probe.
+/// including the timing engine. Bumps the `exec.interpretations` counter
+/// of the current np-obs scope's registry once (replays never do).
 fn interpret_launch(
     dev: &DeviceConfig,
     kernel: &Kernel,
@@ -520,7 +509,7 @@ fn interpret_launch(
         local_per_thread,
         opts,
     };
-    INTERPRETATIONS.fetch_add(1, Ordering::SeqCst);
+    np_obs::bump("exec.interpretations");
     let run = {
         let _i = np_obs::span("exec.interpret");
         let run = if can_parallel { interpret_parallel(&env, &mut globals, pool) } else { None };
@@ -641,7 +630,7 @@ fn interpret_parallel(env: &RunEnv, globals: &mut GlobalState, pool: usize) -> O
     let opts = env.opts;
     let ik = env.ik;
     let rw: Vec<bool> = ik.array_params.iter().map(|p| p.loaded && p.stored).collect();
-    let log_races = opts.check_races == RaceCheckMode::Record;
+    let race_opts = (opts.check_races == RaceCheckMode::Record).then_some(&opts.race_options);
     let sim_blocks = env.sim_blocks;
 
     let next = AtomicU64::new(0);
@@ -660,7 +649,7 @@ fn interpret_parallel(env: &RunEnv, globals: &mut GlobalState, pool: usize) -> O
                         break;
                     }
                     let mut ctx =
-                        LaunchCtx::new_logged(base, &rw, opts.watchdog_steps, log_races);
+                        LaunchCtx::new_logged(base, &rw, opts.watchdog_steps, race_opts);
                     let r = run_block(
                         ik,
                         env.dev,
@@ -693,7 +682,7 @@ fn interpret_parallel(env: &RunEnv, globals: &mut GlobalState, pool: usize) -> O
     let mut cum_steps: u64 = 0;
     let mut fault: Option<SimFault> = None;
     let mut traces: Vec<BlockTrace> = Vec::with_capacity(sim_blocks as usize);
-    let mut logs: Vec<BlockLog> = Vec::with_capacity(sim_blocks as usize);
+    let mut race = RaceReport { checked: race_opts.is_some(), ..Default::default() };
     for bx in 0..sim_blocks {
         let outcome = results[bx as usize]
             .lock()
@@ -734,50 +723,14 @@ fn interpret_parallel(env: &RunEnv, globals: &mut GlobalState, pool: usize) -> O
             }
         }
         traces.push(trace.expect("fault-free outcome carries a trace"));
-        logs.push(log);
-        cum_steps += logs.last().expect("just pushed").steps;
+        race.append_block(log.race, cum_steps, opts.race_options.cap());
+        cum_steps += log.steps;
     }
 
     let mut profile = ProfileReport::default();
     for t in &traces {
         profile.record_block(t);
     }
-
-    // Replay journaled race events in block order on one recorder,
-    // rebasing block-local steps to the cumulative launch step — the same
-    // `pc` values sequential recording would have produced. (On a fault
-    // the launch returns `Err` and the report is discarded, so replay is
-    // skipped.)
-    let race = if log_races && fault.is_none() {
-        let mut rec = RaceRecorder::new(opts.race_options.clone());
-        let n_threads = ik.block_dim.count() as u32;
-        let mut base_step: u64 = 0;
-        for (bx, log) in logs.iter().enumerate() {
-            let (bix, biy) = env.block_idx(bx as u64);
-            let block_linear = biy as u64 * env.grid.x as u64 + bix as u64;
-            rec.begin_block(block_linear, n_threads);
-            for ev in &log.race_events {
-                match *ev {
-                    RaceEvent::Access { site, index, thread, write, step } => {
-                        rec.record_access(
-                            site.space(),
-                            site.name(ik),
-                            index,
-                            thread,
-                            write,
-                            base_step + step,
-                        );
-                    }
-                    RaceEvent::Barrier { step } => rec.barrier_all(base_step + step),
-                }
-            }
-            rec.end_block();
-            base_step += log.steps;
-        }
-        rec.finish()
-    } else {
-        RaceReport::default()
-    };
 
     Some(InterpRun { traces, race, profile, fault, steps: cum_steps })
 }
@@ -1430,21 +1383,19 @@ mod hb_race_tests {
         let dev = DeviceConfig::small_test();
         let k = vecadd_kernel();
         let opts = SimOptions::full();
-        let before = interpretation_count();
-        let (_, cap) =
-            capture_launch(&dev, &k, Dim3::x1(4), &mut vecadd_args(256), &opts).unwrap();
-        let after_capture = interpretation_count();
-        // Other tests run concurrently in this process, so assert "at
-        // least mine" rather than an exact delta.
-        assert!(after_capture > before);
-        for _ in 0..3 {
-            replay_launch(&dev, &cap, &opts).unwrap();
-        }
-        // Replays never interpret; nothing this test did since the capture
-        // bumped the counter. (Concurrent launches may have, so this can't
-        // be asserted exactly here — the serial probe lives in the
-        // replay-equivalence suite.)
-        let _ = after_capture;
+        // The counter lives in this scope's registry, so launches of
+        // concurrently running tests never reach it.
+        let reg = np_obs::Registry::new();
+        let interpretations = reg.counter("exec.interpretations");
+        np_obs::scope(&np_obs::Recorder::buffer(64), Some(&reg), None, || {
+            let (_, cap) =
+                capture_launch(&dev, &k, Dim3::x1(4), &mut vecadd_args(256), &opts).unwrap();
+            assert_eq!(interpretations.get(), 1);
+            for _ in 0..3 {
+                replay_launch(&dev, &cap, &opts).unwrap();
+            }
+        });
+        assert_eq!(interpretations.get(), 1, "replays never interpret");
     }
 
     #[test]

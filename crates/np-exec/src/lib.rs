@@ -16,8 +16,8 @@ pub mod value;
 
 pub use fault::{FaultKind, SimFault};
 pub use launch::{
-    capture_launch, interpretation_count, launch, replay_launch, DeadlineSpec, KernelReport,
-    RaceCheckMode, SimOptions, DEFAULT_WATCHDOG_STEPS,
+    capture_launch, launch, replay_launch, DeadlineSpec, KernelReport, RaceCheckMode, SimOptions,
+    DEFAULT_WATCHDOG_STEPS,
 };
 pub use machine::{ArgValue, Args, Buffer, ExecError};
 pub use resources::estimate_resources;

@@ -238,7 +238,8 @@ pub struct RaceCheckOptions {
 impl RaceCheckOptions {
     pub const DEFAULT_MAX_FINDINGS: usize = 64;
 
-    fn cap(&self) -> usize {
+    /// The finding cap in effect.
+    pub fn cap(&self) -> usize {
         self.max_findings.unwrap_or(Self::DEFAULT_MAX_FINDINGS)
     }
 }
@@ -333,6 +334,34 @@ impl RaceReport {
         s
     }
 
+    /// Append the report of one block that was checked on its own, with
+    /// pcs counted from the block's first step, as the next block of this
+    /// launch report. `pc_base` is the step count of every earlier block,
+    /// so rebased pcs equal a whole-launch recording's. Findings past
+    /// `cap` are dropped and set `truncated`, exactly as one recorder
+    /// filing them in block order would.
+    pub fn append_block(&mut self, block: RaceReport, pc_base: u64, cap: usize) {
+        self.blocks_checked += block.blocks_checked;
+        self.accesses_checked += block.accesses_checked;
+        self.barriers_seen += block.barriers_seen;
+        self.truncated |= block.truncated;
+        for mut f in block.findings {
+            if self.findings.len() >= cap {
+                self.truncated = true;
+                break;
+            }
+            match &mut f {
+                RaceFinding::MemoryRace { first, second, .. } => {
+                    first.pc += pc_base;
+                    second.pc += pc_base;
+                }
+                RaceFinding::MasterGatingViolation { pc, .. } => *pc += pc_base,
+                RaceFinding::BarrierDivergence { .. } => {}
+            }
+            self.findings.push(f);
+        }
+    }
+
     /// One human line per finding (the `--explain` narrative body).
     pub fn narrative(&self) -> String {
         use std::fmt::Write as _;
@@ -347,34 +376,167 @@ impl RaceReport {
     }
 }
 
+/// Thread id marking an empty [`Stamp`] (no access recorded in the slot).
+/// Block-linear thread ids stay far below it.
+const NO_THREAD: u32 = u32::MAX;
+
+/// One recorded access in the shadow. Whether it wrote is implied by the
+/// slot it sits in, so it is not stored.
+#[derive(Clone, Copy)]
+struct Stamp {
+    pc: u64,
+    thread: u32,
+    epoch: u32,
+}
+
+impl Stamp {
+    const EMPTY: Stamp = Stamp { pc: 0, thread: NO_THREAD, epoch: 0 };
+
+    fn is_empty(self) -> bool {
+        self.thread == NO_THREAD
+    }
+
+    fn site(self, write: bool) -> AccessSite {
+        AccessSite { thread: self.thread, pc: self.pc, epoch: self.epoch, write }
+    }
+}
+
 /// Per-word state: the last write plus the latest read of each reading
 /// thread (the FastTrack read-shared representation; exact at epoch
-/// granularity because per-thread epochs are monotone).
-#[derive(Default)]
-struct WordState {
-    last_write: Option<AccessSite>,
-    reads: Vec<AccessSite>,
-    /// Thread -> slot in `reads`, built lazily once a word is read by many
-    /// threads (broadcast loads would otherwise make the per-access
-    /// dedup scan quadratic in the thread count). Pure index: the `reads`
-    /// vector and its order are exactly what they were without it.
-    read_map: Option<HashMap<u32, u32>>,
+/// granularity because per-thread epochs are monotone). Reads keep one
+/// slot per thread in first-read order since the last write: a write that
+/// races several reads reports the first matching slot, so the order is
+/// part of the report.
+#[derive(Clone, Copy)]
+struct Word {
+    last_write: Stamp,
+    /// The only read slot while at most one thread has read the word.
+    read: Stamp,
+    /// 0 while the reads fit in `read`; otherwise 1 + the index of this
+    /// word's [`ReadSet`] in [`BlockState::read_sets`], which then holds
+    /// every read slot (it is cleared, not freed, by a write).
+    spill: u32,
     /// At most one memory-race finding is filed per word, so one dropped
     /// barrier reads as one finding per conflicting word rather than one
     /// per access pair.
     reported: bool,
 }
 
-/// Per-block tracking state, reset at block boundaries (the simulator runs
-/// blocks sequentially; cross-block ordering is not happens-before and is
-/// out of the checker's per-block scope).
+impl Word {
+    const EMPTY: Word =
+        Word { last_write: Stamp::EMPTY, read: Stamp::EMPTY, spill: 0, reported: false };
+}
+
+/// The read slots of a word that more than one thread has read.
+#[derive(Default)]
+struct ReadSet {
+    reads: Vec<Stamp>,
+    /// Thread -> slot in `reads`, built once the set is large (broadcast
+    /// loads would otherwise make the per-access dedup scan quadratic in
+    /// the thread count). Pure index: `reads` and its order are the same
+    /// with or without it.
+    by_thread: Option<HashMap<u32, u32, FoldBuild>>,
+}
+
+impl ReadSet {
+    const MAP_AT: usize = 16;
+
+    fn record(&mut self, s: Stamp) {
+        if self.by_thread.is_none() && self.reads.len() >= Self::MAP_AT {
+            let m = self.reads.iter().enumerate().map(|(i, r)| (r.thread, i as u32)).collect();
+            self.by_thread = Some(m);
+        }
+        let slot = match &self.by_thread {
+            Some(m) => m.get(&s.thread).map(|&i| i as usize),
+            None => self.reads.iter().position(|r| r.thread == s.thread),
+        };
+        match slot {
+            Some(i) => self.reads[i] = s,
+            None => {
+                if let Some(m) = &mut self.by_thread {
+                    m.insert(s.thread, self.reads.len() as u32);
+                }
+                self.reads.push(s);
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.reads.clear();
+        self.by_thread = None;
+    }
+}
+
+/// Words per shadow page.
+const PAGE: usize = 32;
+
+/// The shadow of one array in one space for one block: pages of [`PAGE`]
+/// consecutive words, allocated when the block first touches a word in
+/// them. Memory follows the words the block touches, not the array
+/// length: 40 bytes per word of every touched page.
+#[derive(Default)]
+struct Shadow {
+    pages: Vec<[Word; PAGE]>,
+    /// Page number -> index into `pages`.
+    dir: HashMap<u64, u32, FoldBuild>,
+}
+
+impl Shadow {
+    fn word(&mut self, index: u64) -> &mut Word {
+        let page = index / PAGE as u64;
+        let next = self.pages.len() as u32;
+        let p = *self.dir.entry(page).or_insert(next);
+        if p == next {
+            self.pages.push([Word::EMPTY; PAGE]);
+        }
+        &mut self.pages[p as usize][index as usize % PAGE]
+    }
+}
+
+/// Hasher for the shadow's integer keys: one folded 64×64→128-bit
+/// multiply, so both the low bits (bucket index) and the high bits
+/// (control tag) of the hash depend on every key bit. The keys are page
+/// numbers and thread ids of the launch being checked, not input from a
+/// network peer, so the default hasher's collision resistance buys
+/// nothing here.
+#[derive(Default, Clone, Copy)]
+struct FoldHash(u64);
+
+impl std::hash::Hasher for FoldHash {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let p = ((self.0 ^ x) as u128).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FoldBuild = std::hash::BuildHasherDefault<FoldHash>;
+
+/// Per-block tracking state, reset at block boundaries (cross-block
+/// ordering is not happens-before and is out of the checker's per-block
+/// scope, which is also what lets blocks be checked on separate threads).
 struct BlockState {
     block: u64,
     epochs: Vec<u32>,
     /// FNV-1a over the sequence of barrier pcs each thread passed, to
     /// detect same-count-different-sites divergence.
     site_hash: Vec<u64>,
-    words: HashMap<(RaceSpace, u32, u64), WordState>,
+    /// Indexed by `2 * array id + space`.
+    shadows: Vec<Shadow>,
+    read_sets: Vec<ReadSet>,
     gating_reported: Vec<u32>,
 }
 
@@ -396,6 +558,8 @@ pub struct RaceRecorder {
     /// `String` per access.
     array_names: Vec<String>,
     array_ids: HashMap<String, u32>,
+    /// Per interned id: a master-only array of the gating policy?
+    master_only: Vec<bool>,
     cur: Option<BlockState>,
 }
 
@@ -406,6 +570,7 @@ impl RaceRecorder {
             report: RaceReport { checked: true, ..Default::default() },
             array_names: Vec::new(),
             array_ids: HashMap::new(),
+            master_only: Vec::new(),
             cur: None,
         }
     }
@@ -417,6 +582,7 @@ impl RaceRecorder {
         let id = self.array_names.len() as u32;
         self.array_names.push(array.to_string());
         self.array_ids.insert(array.to_string(), id);
+        self.master_only.push(self.opts.policy.as_ref().is_some_and(|p| p.is_master_only(array)));
         id
     }
 
@@ -427,11 +593,14 @@ impl RaceRecorder {
         self.intern(array)
     }
 
-    fn file(&mut self, finding: RaceFinding) -> Option<&RaceFinding> {
+    /// File the finding `make` builds, unless the cap is reached (then
+    /// only `truncated` is set and `make` never runs).
+    fn file(&mut self, make: impl FnOnce(&Self) -> RaceFinding) -> Option<&RaceFinding> {
         if self.report.findings.len() >= self.opts.cap() {
             self.report.truncated = true;
             return None;
         }
+        let finding = make(self);
         self.report.findings.push(finding);
         self.report.findings.last()
     }
@@ -444,13 +613,15 @@ impl RaceRecorder {
             block,
             epochs: vec![0; n_threads as usize],
             site_hash: vec![0xcbf29ce484222325; n_threads as usize],
-            words: HashMap::new(),
+            shadows: Vec::new(),
+            read_sets: Vec::new(),
             gating_reported: Vec::new(),
         });
     }
 
-    /// One thread touched `array[index]` in `space`. Returns the finding
-    /// this access triggered, if any (for fail-fast callers).
+    /// One thread (block-linear id, below `u32::MAX`) touched
+    /// `array[index]` in `space`. Returns the finding this access
+    /// triggered, if any (for fail-fast callers).
     pub fn record_access(
         &mut self,
         space: RaceSpace,
@@ -475,57 +646,48 @@ impl RaceRecorder {
         write: bool,
         pc: u64,
     ) -> Option<&RaceFinding> {
-        let array: &str = &self.array_names[array_id as usize];
         let Some(cur) = &mut self.cur else { return None };
         self.report.accesses_checked += 1;
         let epoch = cur.epochs.get(thread as usize).copied().unwrap_or(0);
-        let access = AccessSite { thread, pc, epoch, write };
+        let access = Stamp { pc, thread, epoch };
         let block = cur.block;
 
         // Gating check first: an un-gated broadcast store is both a W/W
         // race and a policy violation; report the policy violation once per
         // array.
-        let mut gating: Option<RaceFinding> = None;
-        if write {
-            if let Some(policy) = &self.opts.policy {
-                if policy.is_master_only(array) {
-                    let slave = policy.slave_of(thread);
-                    if slave != 0 && !cur.gating_reported.contains(&array_id) {
-                        cur.gating_reported.push(array_id);
-                        gating = Some(RaceFinding::MasterGatingViolation {
-                            block,
-                            space,
-                            array: array.to_string(),
-                            index,
-                            thread,
-                            slave,
-                            pc,
-                        });
-                    }
-                }
+        let mut gating: Option<u32> = None;
+        if write && self.master_only[array_id as usize] {
+            let policy = self.opts.policy.as_ref().expect("master-only implies a policy");
+            let slave = policy.slave_of(thread);
+            if slave != 0 && !cur.gating_reported.contains(&array_id) {
+                cur.gating_reported.push(array_id);
+                gating = Some(slave);
             }
         }
 
-        let word = cur.words.entry((space, array_id, index)).or_default();
+        let k = 2 * array_id as usize + (space == RaceSpace::Global) as usize;
+        if cur.shadows.len() <= k {
+            cur.shadows.resize_with(k + 1, Shadow::default);
+        }
+        let word = cur.shadows[k].word(index);
         let mut race: Option<(RaceKind, AccessSite)> = None;
         if !word.reported {
-            if let Some(wr) = word.last_write {
-                // A same-epoch prior write by another thread always
-                // conflicts: W/W if we write, R/W if we read.
-                if wr.thread != thread && wr.epoch == epoch {
-                    race = Some((
-                        if write { RaceKind::WriteWrite } else { RaceKind::ReadWrite },
-                        wr,
-                    ));
-                }
-            }
-            if race.is_none() && write {
-                if let Some(rd) = word
-                    .reads
+            let wr = word.last_write;
+            // A same-epoch prior write by another thread always
+            // conflicts: W/W if we write, R/W if we read.
+            if !wr.is_empty() && wr.thread != thread && wr.epoch == epoch {
+                let kind = if write { RaceKind::WriteWrite } else { RaceKind::ReadWrite };
+                race = Some((kind, wr.site(true)));
+            } else if write {
+                let reads = match word.spill {
+                    0 => std::slice::from_ref(&word.read),
+                    n => &cur.read_sets[n as usize - 1].reads[..],
+                };
+                if let Some(rd) = reads
                     .iter()
-                    .find(|r| r.thread != thread && r.epoch == epoch)
+                    .find(|r| !r.is_empty() && r.thread != thread && r.epoch == epoch)
                 {
-                    race = Some((RaceKind::ReadWrite, *rd));
+                    race = Some((RaceKind::ReadWrite, rd.site(false)));
                 }
             }
         }
@@ -533,55 +695,44 @@ impl RaceRecorder {
             word.reported = true;
         }
 
-        // Update word state: writes supersede; reads keep one slot per
-        // thread (dedup goes through the lazy thread->slot index once the
-        // reader set is large; the vector contents and order are
-        // unchanged either way).
+        // Update word state: writes supersede every read; reads keep one
+        // slot per thread, spilling to a read set at the second reader.
         if write {
-            word.last_write = Some(access);
-            word.reads.clear();
-            word.read_map = None;
-        } else {
-            const READ_MAP_AT: usize = 16;
-            let slot = if let Some(m) = &word.read_map {
-                m.get(&thread).copied()
-            } else if word.reads.len() >= READ_MAP_AT {
-                let m: HashMap<u32, u32> = word
-                    .reads
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| (r.thread, i as u32))
-                    .collect();
-                let slot = m.get(&thread).copied();
-                word.read_map = Some(m);
-                slot
-            } else {
-                word.reads.iter().position(|r| r.thread == thread).map(|i| i as u32)
-            };
-            match slot {
-                Some(i) => word.reads[i as usize] = access,
-                None => {
-                    if let Some(m) = &mut word.read_map {
-                        m.insert(thread, word.reads.len() as u32);
-                    }
-                    word.reads.push(access);
-                }
+            word.last_write = access;
+            word.read = Stamp::EMPTY;
+            if word.spill != 0 {
+                cur.read_sets[word.spill as usize - 1].clear();
             }
+        } else if word.spill != 0 {
+            cur.read_sets[word.spill as usize - 1].record(access);
+        } else if word.read.is_empty() || word.read.thread == thread {
+            word.read = access;
+        } else {
+            cur.read_sets.push(ReadSet { reads: vec![word.read, access], by_thread: None });
+            word.spill = cur.read_sets.len() as u32;
+            word.read = Stamp::EMPTY;
         }
 
-        let array = self.array_names[array_id as usize].clone();
-        if let Some(f) = gating {
-            self.file(f);
+        if let Some(slave) = gating {
+            self.file(|r| RaceFinding::MasterGatingViolation {
+                block,
+                space,
+                array: r.array_names[array_id as usize].clone(),
+                index,
+                thread,
+                slave,
+                pc,
+            });
         }
-        if let Some((kind, prev)) = race {
-            return self.file(RaceFinding::MemoryRace {
+        if let Some((kind, first)) = race {
+            return self.file(|r| RaceFinding::MemoryRace {
                 space,
                 block,
-                array,
+                array: r.array_names[array_id as usize].clone(),
                 index,
                 kind,
-                first: prev,
-                second: access,
+                first,
+                second: access.site(write),
             });
         }
         None
@@ -631,7 +782,7 @@ impl RaceRecorder {
             .zip(&cur.site_hash)
             .position(|(&c, &h)| c != c0 || h != h0);
         if let Some(t) = divergent {
-            self.file(RaceFinding::BarrierDivergence {
+            self.file(|_| RaceFinding::BarrierDivergence {
                 block: cur.block,
                 thread_a: 0,
                 count_a: c0,

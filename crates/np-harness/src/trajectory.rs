@@ -5,8 +5,9 @@
 //! flight recorder's attribution), and profile counters. The writer is a
 //! pure function of the sweep outcomes — the simulator is deterministic, so
 //! two consecutive runs produce *byte-identical* files; CI regenerates the
-//! document and diffs it against the committed `BENCH_baseline.json` with a
-//! relative cycle tolerance (see [`check_against_baseline`]).
+//! document and diffs it against the committed per-device baseline
+//! (`BENCH_baseline.gtx680.json` for the default device) with a relative
+//! cycle tolerance (see [`check_against_baseline`]).
 //!
 //! The serde shim is a no-op, so both serialization and the baseline check
 //! are hand-rolled over the exact format emitted here (one workload object

@@ -36,7 +36,7 @@ cargo test --release -q -p cuda-np --test npcc_cli
 cargo run --release -q -p np-harness -- --test-scale --json BENCH_results.json
 cp BENCH_results.json BENCH_results.rerun.json
 cargo run --release -q -p np-harness -- --test-scale --json BENCH_results.json \
-  --check-bench BENCH_baseline.json --tolerance 0.02
+  --check-bench BENCH_baseline.gtx680.json --tolerance 0.02
 cmp BENCH_results.json BENCH_results.rerun.json \
   || { echo "BENCH_results.json is not deterministic" >&2; exit 1; }
 rm -f BENCH_results.rerun.json
@@ -46,7 +46,7 @@ rm -f BENCH_results.rerun.json
 # functional — the trajectory must still match the committed baseline; the
 # wall-clock number itself never fails the build.
 cargo run --release -q -p np-harness -- --test-scale --wall-clock \
-  --check-bench BENCH_baseline.json --tolerance 0.02
+  --check-bench BENCH_baseline.gtx680.json --tolerance 0.02
 test -s BENCH_wallclock.json \
   || { echo "BENCH_wallclock.json was not written" >&2; exit 1; }
 cargo test --release -q -p cuda-np --test parallel_determinism
@@ -86,7 +86,8 @@ cargo test --release -q -p cuda-np --test obs_determinism
 # golden metric snapshots, then the sharded sweep matrix: each device's
 # trajectory gated against its own committed BENCH_baseline.<device>.json,
 # with a rerun cmp proving the matrix output is byte-deterministic and
-# independent of worker scheduling.
+# independent of worker scheduling. With --devices, `BENCH_baseline.json`
+# is a path template: each device reads `BENCH_baseline.<device>.json`.
 cargo test --release -q -p np-gpu-sim --test device_descriptor_properties
 cargo test --release -q -p cuda-np --test device_invariance
 cargo run --release -q -p np-harness -- --test-scale \

@@ -2,11 +2,15 @@
 //! of randomly generated barrier-communication kernels, the clean variant
 //! is never flagged, the variant with a randomly removed barrier is always
 //! flagged, the variant with an un-gated master-only store is always
-//! flagged, and every report is byte-identical across reruns.
+//! flagged, and every report is byte-identical across reruns. At the
+//! recorder level, random access/barrier streams must give the report of
+//! a reference model (the original map-based recorder, kept below), and
+//! per-block reports appended in block order must give the report of one
+//! recorder over the whole stream.
 
 use np_exec::{launch, Args, RaceCheckMode, SimOptions};
 use np_gpu_sim::racecheck::{
-    GatingPolicy, RaceCheckOptions, RaceFinding, RaceRecorder, RaceSpace,
+    GatingPolicy, RaceCheckOptions, RaceFinding, RaceRecorder, RaceReport, RaceSpace,
 };
 use np_gpu_sim::DeviceConfig;
 use np_kernel_ir::analysis::barriers::{count_barriers, remove_barrier};
@@ -231,5 +235,493 @@ proptest! {
             .iter()
             .any(|f| matches!(f, RaceFinding::BarrierDivergence { .. }));
         prop_assert_eq!(diverged, extra > 0, "{}", rep.narrative());
+    }
+}
+
+/// One event of a generated recorder stream. Pcs are not generated:
+/// `expand` numbers events in stream order, like the interpreter's step
+/// counter.
+#[derive(Debug, Clone)]
+enum Ev {
+    /// Close the current block and open the next one.
+    NextBlock,
+    Access { space: RaceSpace, array: usize, index: u64, thread: u32, write: bool },
+    /// `readers` threads from `first` on read one word in turn: more than
+    /// 16 readers cross the read set's thread-index threshold.
+    Broadcast { array: usize, index: u64, first: u32, readers: u32 },
+    Barrier { thread: u32 },
+    BarrierAll,
+}
+
+/// The arrays of generated streams; the third is the gating policy's
+/// master-only buffer.
+const ARRAYS: [&str; 3] = ["tile", "out", "__np_bcast_x"];
+
+/// Threads per block of generated streams. Thread ids run a little past
+/// it, which the recorder tolerates (epoch 0, barriers ignored).
+const THREADS: u32 = 40;
+
+fn arb_ev() -> impl Strategy<Value = Ev> {
+    let space = prop_oneof![Just(RaceSpace::Shared), Just(RaceSpace::Global)];
+    // Mostly a handful of words, so accesses collide; one time in five a
+    // wide range, so words fall on many shadow pages.
+    let index = (0u32..5, 0u64..6, 0u64..200)
+        .prop_map(|(wide, few, many)| if wide == 0 { many } else { few });
+    let access = (space, 0..ARRAYS.len(), index, 0..THREADS + 2, any::<bool>())
+        .prop_map(|(space, array, index, thread, write)| Ev::Access {
+            space,
+            array,
+            index,
+            thread,
+            write,
+        })
+        .boxed();
+    let broadcast = (0..ARRAYS.len(), 0u64..6, 0..THREADS, 2..=THREADS)
+        .prop_map(|(array, index, first, readers)| Ev::Broadcast { array, index, first, readers });
+    let barrier = (0..THREADS + 2).prop_map(|thread| Ev::Barrier { thread });
+    // Accesses weigh 10 of 14.
+    let mut options = vec![
+        Just(Ev::NextBlock).boxed(),
+        broadcast.boxed(),
+        barrier.boxed(),
+        Just(Ev::BarrierAll).boxed(),
+    ];
+    options.extend(std::iter::repeat_n(access, 10));
+    Union::new(options)
+}
+
+fn arb_opts() -> impl Strategy<Value = RaceCheckOptions> {
+    (proptest::option::of(1usize..=8), any::<bool>(), any::<bool>()).prop_map(
+        |(max_findings, gated, intra)| RaceCheckOptions {
+            max_findings,
+            policy: gated.then(|| GatingPolicy {
+                master_size: 8,
+                slave_size: THREADS / 8,
+                intra,
+                master_only: vec![ARRAYS[2].to_string()],
+            }),
+        },
+    )
+}
+
+/// The recorder calls a stream expands to, pcs assigned: `(block, pc,
+/// call)`. A new block starts at block 0 and at every `NextBlock`.
+#[derive(Debug, Clone, Copy)]
+enum Call {
+    Access(RaceSpace, usize, u64, u32, bool),
+    Barrier(u32),
+    BarrierAll,
+}
+
+fn expand(events: &[Ev]) -> Vec<(u64, u64, Call)> {
+    let mut out = Vec::new();
+    let (mut block, mut pc) = (0u64, 0u64);
+    for ev in events {
+        match *ev {
+            Ev::NextBlock => block += 1,
+            Ev::Access { space, array, index, thread, write } => {
+                out.push((block, pc, Call::Access(space, array, index, thread, write)));
+            }
+            Ev::Broadcast { array, index, first, readers } => {
+                for k in 0..readers {
+                    let thread = (first + k) % THREADS;
+                    let call = Call::Access(RaceSpace::Shared, array, index, thread, false);
+                    out.push((block, pc, call));
+                    pc += 1;
+                }
+            }
+            Ev::Barrier { thread } => out.push((block, pc, Call::Barrier(thread))),
+            Ev::BarrierAll => out.push((block, pc, Call::BarrierAll)),
+        }
+        pc += 1;
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The recorder matches the reference model on random streams: the
+    /// same finding (or none) from every access, and a byte-identical
+    /// report.
+    #[test]
+    fn recorder_matches_reference_model(
+        events in proptest::collection::vec(arb_ev(), 0..300),
+        opts in arb_opts(),
+    ) {
+        let mut rec = RaceRecorder::new(opts.clone());
+        let mut oracle = oracle::OracleRecorder::new(opts);
+        let mut open: Option<u64> = None;
+        for (block, pc, call) in expand(&events) {
+            if open != Some(block) {
+                if open.is_some() {
+                    rec.end_block();
+                    oracle.end_block();
+                }
+                rec.begin_block(block, THREADS);
+                oracle.begin_block(block, THREADS);
+                open = Some(block);
+            }
+            match call {
+                Call::Access(space, a, index, thread, write) => {
+                    let array = ARRAYS[a];
+                    let got = rec.record_access(space, array, index, thread, write, pc);
+                    let want = oracle.record_access(space, array, index, thread, write, pc);
+                    prop_assert_eq!(got.cloned(), want.cloned(), "access at pc {}", pc);
+                }
+                Call::Barrier(thread) => {
+                    rec.barrier(thread, pc);
+                    oracle.barrier(thread, pc);
+                }
+                Call::BarrierAll => {
+                    rec.barrier_all(pc);
+                    oracle.barrier_all(pc);
+                }
+            }
+        }
+        prop_assert_eq!(rec.finish().to_json(), oracle.finish().to_json());
+    }
+
+    /// Checking every block on a recorder of its own, with pcs counted
+    /// from the block's first step, then appending the reports in block
+    /// order gives the report one recorder makes of the whole stream —
+    /// the merge rule of parallel interpretation.
+    #[test]
+    fn per_block_reports_append_to_the_launch_report(
+        events in proptest::collection::vec(arb_ev(), 0..300),
+        opts in arb_opts(),
+    ) {
+        let calls = expand(&events);
+        let mut whole = RaceRecorder::new(opts.clone());
+        let mut merged = RaceReport { checked: true, ..Default::default() };
+        let mut i = 0;
+        while i < calls.len() {
+            let (block, base, _) = calls[i];
+            let mut own = RaceRecorder::new(opts.clone());
+            whole.begin_block(block, THREADS);
+            own.begin_block(block, THREADS);
+            while i < calls.len() && calls[i].0 == block {
+                let (_, pc, call) = calls[i];
+                for (r, pc) in [(&mut whole, pc), (&mut own, pc - base)] {
+                    match call {
+                        Call::Access(space, a, index, thread, write) => {
+                            r.record_access(space, ARRAYS[a], index, thread, write, pc);
+                        }
+                        Call::Barrier(thread) => r.barrier(thread, pc),
+                        Call::BarrierAll => r.barrier_all(pc),
+                    }
+                }
+                i += 1;
+            }
+            merged.append_block(own.finish(), base, opts.cap());
+        }
+        prop_assert_eq!(merged.to_json(), whole.finish().to_json());
+    }
+}
+
+/// The recorder as it stood before its shadow storage was compacted: a
+/// SipHash map from `(space, array, index)` to a per-word state holding a
+/// heap `Vec` of reads. Kept here unchanged (apart from reaching the
+/// policy's public fields) as the reference model the recorder must match
+/// byte for byte.
+mod oracle {
+    use np_gpu_sim::racecheck::{
+        AccessSite, RaceCheckOptions, RaceFinding, RaceKind, RaceReport, RaceSpace,
+    };
+    use std::collections::HashMap;
+
+    /// Per-word state: the last write plus the latest read of each reading
+    /// thread (the FastTrack read-shared representation; exact at epoch
+    /// granularity because per-thread epochs are monotone).
+    #[derive(Default)]
+    struct WordState {
+        last_write: Option<AccessSite>,
+        reads: Vec<AccessSite>,
+        /// Thread -> slot in `reads`, built lazily once a word is read by many
+        /// threads (broadcast loads would otherwise make the per-access
+        /// dedup scan quadratic in the thread count). Pure index: the `reads`
+        /// vector and its order are exactly what they were without it.
+        read_map: Option<HashMap<u32, u32>>,
+        /// At most one memory-race finding is filed per word, so one dropped
+        /// barrier reads as one finding per conflicting word rather than one
+        /// per access pair.
+        reported: bool,
+    }
+
+    /// Per-block tracking state, reset at block boundaries (the simulator runs
+    /// blocks sequentially; cross-block ordering is not happens-before and is
+    /// out of the checker's per-block scope).
+    struct BlockState {
+        block: u64,
+        epochs: Vec<u32>,
+        /// FNV-1a over the sequence of barrier pcs each thread passed, to
+        /// detect same-count-different-sites divergence.
+        site_hash: Vec<u64>,
+        words: HashMap<(RaceSpace, u32, u64), WordState>,
+        gating_reported: Vec<u32>,
+    }
+
+    fn fnv1a(h: u64, x: u64) -> u64 {
+        let mut h = h;
+        for b in x.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+        h
+    }
+
+    /// The event consumer. Feed it `begin_block` / `record_access` / `barrier`
+    /// (or `barrier_all`) / `end_block` in execution order, then `finish`.
+    pub struct OracleRecorder {
+        opts: RaceCheckOptions,
+        report: RaceReport,
+        /// Array-name interner shared across blocks so word keys avoid a
+        /// `String` per access.
+        array_names: Vec<String>,
+        array_ids: HashMap<String, u32>,
+        cur: Option<BlockState>,
+    }
+
+    impl OracleRecorder {
+        pub fn new(opts: RaceCheckOptions) -> Self {
+            OracleRecorder {
+                opts,
+                report: RaceReport { checked: true, ..Default::default() },
+                array_names: Vec::new(),
+                array_ids: HashMap::new(),
+                cur: None,
+            }
+        }
+
+        fn intern(&mut self, array: &str) -> u32 {
+            if let Some(&id) = self.array_ids.get(array) {
+                return id;
+            }
+            let id = self.array_names.len() as u32;
+            self.array_names.push(array.to_string());
+            self.array_ids.insert(array.to_string(), id);
+            id
+        }
+
+        fn file(&mut self, finding: RaceFinding) -> Option<&RaceFinding> {
+            if self.report.findings.len() >= self.opts.cap() {
+                self.report.truncated = true;
+                return None;
+            }
+            self.report.findings.push(finding);
+            self.report.findings.last()
+        }
+
+        /// Start tracking a new block of `n_threads` block-linear threads.
+        pub fn begin_block(&mut self, block: u64, n_threads: u32) {
+            // An unterminated previous block still gets its divergence check.
+            self.close_block();
+            self.cur = Some(BlockState {
+                block,
+                epochs: vec![0; n_threads as usize],
+                site_hash: vec![0xcbf29ce484222325; n_threads as usize],
+                words: HashMap::new(),
+                gating_reported: Vec::new(),
+            });
+        }
+
+        /// One thread touched `array[index]` in `space`. Returns the finding
+        /// this access triggered, if any (for fail-fast callers).
+        pub fn record_access(
+            &mut self,
+            space: RaceSpace,
+            array: &str,
+            index: u64,
+            thread: u32,
+            write: bool,
+            pc: u64,
+        ) -> Option<&RaceFinding> {
+            let array_id = self.intern(array);
+            self.record_access_by_id(space, array_id, index, thread, write, pc)
+        }
+
+        /// [`OracleRecorder::record_access`] with a pre-interned array id (from
+        /// [`OracleRecorder::intern_id`]); behaviorally identical.
+        pub fn record_access_by_id(
+            &mut self,
+            space: RaceSpace,
+            array_id: u32,
+            index: u64,
+            thread: u32,
+            write: bool,
+            pc: u64,
+        ) -> Option<&RaceFinding> {
+            let array: &str = &self.array_names[array_id as usize];
+            let Some(cur) = &mut self.cur else { return None };
+            self.report.accesses_checked += 1;
+            let epoch = cur.epochs.get(thread as usize).copied().unwrap_or(0);
+            let access = AccessSite { thread, pc, epoch, write };
+            let block = cur.block;
+
+            // Gating check first: an un-gated broadcast store is both a W/W
+            // race and a policy violation; report the policy violation once per
+            // array.
+            let mut gating: Option<RaceFinding> = None;
+            if write {
+                if let Some(policy) = &self.opts.policy {
+                    if policy.master_only.iter().any(|a| a == array) {
+                        let slave = policy.slave_of(thread);
+                        if slave != 0 && !cur.gating_reported.contains(&array_id) {
+                            cur.gating_reported.push(array_id);
+                            gating = Some(RaceFinding::MasterGatingViolation {
+                                block,
+                                space,
+                                array: array.to_string(),
+                                index,
+                                thread,
+                                slave,
+                                pc,
+                            });
+                        }
+                    }
+                }
+            }
+
+            let word = cur.words.entry((space, array_id, index)).or_default();
+            let mut race: Option<(RaceKind, AccessSite)> = None;
+            if !word.reported {
+                if let Some(wr) = word.last_write {
+                    // A same-epoch prior write by another thread always
+                    // conflicts: W/W if we write, R/W if we read.
+                    if wr.thread != thread && wr.epoch == epoch {
+                        race = Some((
+                            if write { RaceKind::WriteWrite } else { RaceKind::ReadWrite },
+                            wr,
+                        ));
+                    }
+                }
+                if race.is_none() && write {
+                    if let Some(rd) = word
+                        .reads
+                        .iter()
+                        .find(|r| r.thread != thread && r.epoch == epoch)
+                    {
+                        race = Some((RaceKind::ReadWrite, *rd));
+                    }
+                }
+            }
+            if race.is_some() {
+                word.reported = true;
+            }
+
+            // Update word state: writes supersede; reads keep one slot per
+            // thread (dedup goes through the lazy thread->slot index once the
+            // reader set is large; the vector contents and order are
+            // unchanged either way).
+            if write {
+                word.last_write = Some(access);
+                word.reads.clear();
+                word.read_map = None;
+            } else {
+                const READ_MAP_AT: usize = 16;
+                let slot = if let Some(m) = &word.read_map {
+                    m.get(&thread).copied()
+                } else if word.reads.len() >= READ_MAP_AT {
+                    let m: HashMap<u32, u32> = word
+                        .reads
+                        .iter()
+                        .enumerate()
+                        .map(|(i, r)| (r.thread, i as u32))
+                        .collect();
+                    let slot = m.get(&thread).copied();
+                    word.read_map = Some(m);
+                    slot
+                } else {
+                    word.reads.iter().position(|r| r.thread == thread).map(|i| i as u32)
+                };
+                match slot {
+                    Some(i) => word.reads[i as usize] = access,
+                    None => {
+                        if let Some(m) = &mut word.read_map {
+                            m.insert(thread, word.reads.len() as u32);
+                        }
+                        word.reads.push(access);
+                    }
+                }
+            }
+
+            let array = self.array_names[array_id as usize].clone();
+            if let Some(f) = gating {
+                self.file(f);
+            }
+            if let Some((kind, prev)) = race {
+                return self.file(RaceFinding::MemoryRace {
+                    space,
+                    block,
+                    array,
+                    index,
+                    kind,
+                    first: prev,
+                    second: access,
+                });
+            }
+            None
+        }
+
+        /// One thread passed a barrier at site `pc`.
+        pub fn barrier(&mut self, thread: u32, pc: u64) {
+            let Some(cur) = &mut self.cur else { return };
+            if let Some(e) = cur.epochs.get_mut(thread as usize) {
+                *e += 1;
+            }
+            if let Some(h) = cur.site_hash.get_mut(thread as usize) {
+                *h = fnv1a(*h, pc);
+            }
+            self.report.barriers_seen += 1;
+        }
+
+        /// Every thread of the block passed one barrier at site `pc` (the
+        /// lockstep interpreter's barrier shape).
+        pub fn barrier_all(&mut self, pc: u64) {
+            let Some(cur) = &mut self.cur else { return };
+            for e in &mut cur.epochs {
+                *e += 1;
+            }
+            for h in &mut cur.site_hash {
+                *h = fnv1a(*h, pc);
+            }
+            self.report.barriers_seen += 1;
+        }
+
+        /// Finish the current block: run the barrier-divergence check and drop
+        /// the per-word state.
+        pub fn end_block(&mut self) {
+            self.close_block();
+        }
+
+        fn close_block(&mut self) {
+            let Some(cur) = self.cur.take() else { return };
+            self.report.blocks_checked += 1;
+            if cur.epochs.is_empty() {
+                return;
+            }
+            let (c0, h0) = (cur.epochs[0], cur.site_hash[0]);
+            let divergent = cur
+                .epochs
+                .iter()
+                .zip(&cur.site_hash)
+                .position(|(&c, &h)| c != c0 || h != h0);
+            if let Some(t) = divergent {
+                self.file(RaceFinding::BarrierDivergence {
+                    block: cur.block,
+                    thread_a: 0,
+                    count_a: c0,
+                    thread_b: t as u32,
+                    count_b: cur.epochs[t],
+                    sites_differ: cur.epochs[t] == c0,
+                });
+            }
+        }
+
+        /// Close any open block and return the launch report.
+        pub fn finish(mut self) -> RaceReport {
+            self.close_block();
+            self.report
+        }
     }
 }
