@@ -8,7 +8,7 @@
 //!   --slave-size N       threads per master group (default 4)
 //!   --np-type inter|intra  distribution scheme (default inter)
 //!   --device NAME|PATH   simulate on a registry device (gtx680, k20c,
-//!                        maxwell, small_test) or a JSON/TOML descriptor
+//!                        maxwell, small_test) or a JSON descriptor
 //!                        file (default gtx680); composes with --explain,
 //!                        --timeline, --check-races, --emit-trace, --replay
 //!   --list-devices       print the device registry (name, marketing name,

@@ -175,8 +175,8 @@ fn gen_request(rng: &mut SmallRng, client: usize, n: u64) -> (String, String) {
         format!("v{v};transform;slave={slave};grid={grid}")
     };
     let mut line = format!(
-        "{{\"id\":\"c{client}-{n}\",\"kernel\":\"{}\",\"grid\":{grid}",
-        super::json::escape(&variant_kernel(v))
+        "{{\"id\":\"c{client}-{n}\",\"kernel\":{},\"grid\":{grid}",
+        np_obs::json_string(&variant_kernel(v))
     );
     if tune {
         line.push_str(",\"mode\":\"tune\"");

@@ -32,7 +32,6 @@
 pub mod cache;
 pub mod chaos;
 pub mod client;
-pub mod json;
 pub mod metrics;
 pub mod proto;
 pub mod server;

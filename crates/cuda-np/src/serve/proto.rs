@@ -15,7 +15,6 @@
 //!    "latency_us":1234,"result":{...}}
 //! ```
 
-use super::json::{escape, Json};
 use crate::costmodel::TunePolicy;
 use crate::options::NpOptions;
 use crate::tuner::{PolicyTuneResult, TuneOutcome};
@@ -25,6 +24,7 @@ use np_kernel_ir::kernel::Kernel;
 use np_kernel_ir::parse_kernel;
 use np_kernel_ir::pragma::NpType;
 use np_kernel_ir::printer::print_kernel;
+use np_obs::{json_string, Json};
 
 /// What the client wants done with the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -341,7 +341,7 @@ impl Response {
     pub fn to_json_line(&self) -> String {
         let mut s = String::from("{\"id\":");
         match &self.id {
-            Some(id) => s.push_str(&format!("\"{}\"", escape(id))),
+            Some(id) => s.push_str(&json_string(id)),
             None => s.push_str("null"),
         }
         s.push_str(&format!(
@@ -354,10 +354,10 @@ impl Response {
             s.push_str(&format!(",\"retry_after_ms\":{ms}"));
         }
         if let Some(e) = &self.error {
-            s.push_str(&format!(",\"error\":\"{}\"", escape(e)));
+            s.push_str(&format!(",\"error\":{}", json_string(e)));
         }
         if let Some(c) = &self.corr {
-            s.push_str(&format!(",\"corr\":\"{}\"", escape(c)));
+            s.push_str(&format!(",\"corr\":{}", json_string(c)));
         }
         s.push_str(&format!(",\"latency_us\":{}", self.latency_us));
         if let Some(p) = &self.payload {
@@ -376,10 +376,10 @@ impl Response {
 /// a client can tell which hardware model timed the result.
 pub fn report_json(rep: &KernelReport, device: &str) -> String {
     format!(
-        "{{\"kernel\":\"{}\",\"device\":\"{}\",\"cycles\":{},\"time_us\":{:.3},\"blocks\":{},\
+        "{{\"kernel\":{},\"device\":{},\"cycles\":{},\"time_us\":{:.3},\"blocks\":{},\
          \"profile\":{},\"stall\":{},\"race\":{}}}",
-        escape(&rep.kernel_name),
-        escape(device),
+        json_string(&rep.kernel_name),
+        json_string(device),
         rep.cycles,
         rep.time_us,
         rep.timing.blocks_simulated,
@@ -396,12 +396,12 @@ pub fn tune_json(p: &PolicyTuneResult, device: &str) -> String {
     let r = &p.result;
     let mut s = format!(
         "{{\"winner\":{{\"np_type\":\"{}\",\"slave_size\":{},\"cycles\":{}}},\
-         \"policy\":{{\"name\":\"{}\",\"evaluated\":{},\"skipped\":{},\"fell_back\":{},\
+         \"policy\":{{\"name\":{},\"evaluated\":{},\"skipped\":{},\"fell_back\":{},\
          \"predicted_rank\":{}}},\"entries\":[",
         r.best.report.np_type.map_or("?", np_type_str),
         r.best.report.slave_size,
         r.best_report.cycles,
-        escape(&p.policy.label()),
+        json_string(&p.policy.label()),
         p.evaluated,
         p.skipped,
         p.fell_back,
@@ -414,18 +414,18 @@ pub fn tune_json(p: &PolicyTuneResult, device: &str) -> String {
         let outcome = match &e.outcome {
             TuneOutcome::Ok { cycles } => format!("\"ok\",\"cycles\":{cycles}"),
             TuneOutcome::Rejected(err) => {
-                format!("\"rejected\",\"detail\":\"{}\"", escape(&err.to_string()))
+                format!("\"rejected\",\"detail\":{}", json_string(&err.to_string()))
             }
             TuneOutcome::Faulted(f) => {
-                format!("\"faulted\",\"detail\":\"{}\"", escape(&f.to_string()))
+                format!("\"faulted\",\"detail\":{}", json_string(&f.to_string()))
             }
             TuneOutcome::LaunchFailed(err) => {
                 // The typed failure gives clients a stable machine-readable
                 // class; the rendered detail is for humans only.
                 format!(
-                    "\"launch_failed\",\"class\":\"{}\",\"detail\":\"{}\"",
+                    "\"launch_failed\",\"class\":\"{}\",\"detail\":{}",
                     err.class(),
-                    escape(&err.to_string())
+                    json_string(&err.to_string())
                 )
             }
             TuneOutcome::Skipped => "\"skipped\"".to_string(),
@@ -447,7 +447,7 @@ mod tests {
     const KERNEL: &str = "__global__ void k(float* out) {\n  out[threadIdx.x] = 1.0f;\n}\n";
 
     fn line(extra: &str) -> String {
-        format!("{{\"id\":\"r1\",\"kernel\":\"{}\"{extra}}}", escape(KERNEL))
+        format!("{{\"id\":\"r1\",\"kernel\":{}{extra}}}", json_string(KERNEL))
     }
 
     #[test]
@@ -484,6 +484,13 @@ mod tests {
         assert_eq!(r.watchdog, Some(5000));
         let r = Request::from_json_line(&line(",\"watchdog\":\"none\"")).unwrap();
         assert_eq!(r.watchdog, None);
+        // 2^64 does not fit a u64: rejected, never saturated to u64::MAX.
+        for field in ["watchdog", "deadline_ms"] {
+            let (_, msg) =
+                Request::from_json_line(&line(&format!(",\"{field}\":18446744073709551616")))
+                    .unwrap_err();
+            assert!(msg.contains("whole number"), "{msg}");
+        }
     }
 
     #[test]

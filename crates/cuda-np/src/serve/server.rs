@@ -747,8 +747,8 @@ __global__ void tmv(float* a, float* b, float* c, int w, int h) {
 
     fn line(id: &str, extra: &str) -> String {
         format!(
-            "{{\"id\":\"{id}\",\"kernel\":\"{}\"{extra}}}",
-            super::super::json::escape(OK_KERNEL)
+            "{{\"id\":\"{id}\",\"kernel\":{}{extra}}}",
+            np_obs::json_string(OK_KERNEL)
         )
     }
 

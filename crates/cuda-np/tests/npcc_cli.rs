@@ -211,7 +211,6 @@ __global__ void tmv(float* a, float* b, float* c, int w, int h) {
   c[tx] = sum;
 }
 ";
-    let escaped = kernel.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n");
     let mut child = npcc()
         .args(["serve", "--workers", "1"])
         .stdin(Stdio::piped())
@@ -221,7 +220,7 @@ __global__ void tmv(float* a, float* b, float* c, int w, int h) {
         .expect("spawn npcc serve");
 
     let mut stdin = child.stdin.take().unwrap();
-    writeln!(stdin, "{{\"id\":\"smoke\",\"kernel\":\"{escaped}\"}}").unwrap();
+    writeln!(stdin, "{{\"id\":\"smoke\",\"kernel\":{}}}", np_obs::json_string(kernel)).unwrap();
     drop(stdin); // EOF: the daemon drains and exits.
 
     let stdout = BufReader::new(child.stdout.take().unwrap());

@@ -122,7 +122,7 @@ fn tuner_fork_adopt_is_deterministic() {
 }
 
 fn req_line(id: &str) -> String {
-    format!("{{\"id\":\"{id}\",\"kernel\":\"{}\"}}", cuda_np::serve::json::escape(TMV))
+    format!("{{\"id\":\"{id}\",\"kernel\":{}}}", np_obs::json_string(TMV))
 }
 
 /// Every serve request — including malformed ones — gets a correlation id

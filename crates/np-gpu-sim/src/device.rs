@@ -2,8 +2,8 @@
 //!
 //! The simulator began life with hardcoded presets (`DeviceConfig::gtx680()`
 //! and friends). This module promotes those presets into a small device
-//! subsystem: a registry of named devices, a canonical descriptor encoding
-//! (JSON, plus a TOML reader/writer for hand-edited configs), a `validate()`
+//! subsystem: a registry of named devices, a canonical JSON descriptor
+//! encoding (read through the shared `np_obs::Json` codec), a `validate()`
 //! pass that rejects inconsistent parameter combinations as typed errors
 //! instead of silent nonsense, and a stable FNV-1a digest of the canonical
 //! encoding so downstream artifacts (bench trajectories, serve cache keys,
@@ -15,8 +15,10 @@
 //! may move between devices.
 
 use crate::config::{DeviceConfig, DynParConfig, WARP_SIZE};
+use np_obs::{json_string, Json};
 use std::fmt;
 use std::path::Path;
+use std::str::FromStr;
 
 /// Schema tag written into (and accepted from) descriptors.
 pub const DEVICE_SCHEMA: &str = "np-device-v1";
@@ -49,7 +51,7 @@ pub enum DeviceError {
     UnknownDevice { name: String },
     /// A descriptor file could not be read.
     Io { path: String, detail: String },
-    /// The descriptor text is not well-formed JSON/TOML.
+    /// The descriptor text is not well-formed JSON.
     Parse { detail: String },
     /// The descriptor declares a schema other than [`DEVICE_SCHEMA`].
     BadSchema(String),
@@ -122,15 +124,12 @@ pub fn from_name(name: &str) -> Result<DeviceConfig, DeviceError> {
 }
 
 /// Resolve a device *spec* — either a registry name (`gtx680`) or a path to
-/// a JSON/TOML descriptor file (recognised by a path separator or a
-/// `.json`/`.toml` extension). File-loaded descriptors are validated before
+/// a JSON descriptor file (recognised by a path separator or a `.json`
+/// extension). File-loaded descriptors are validated before
 /// they are returned; registry presets are valid by construction (and the
 /// test suite proves it).
 pub fn resolve(spec: &str) -> Result<DeviceConfig, DeviceError> {
-    let looks_like_path = spec.contains('/')
-        || spec.contains('\\')
-        || spec.ends_with(".json")
-        || spec.ends_with(".toml");
+    let looks_like_path = spec.contains('/') || spec.contains('\\') || spec.ends_with(".json");
     if looks_like_path {
         load_descriptor(Path::new(spec))
     } else {
@@ -138,15 +137,13 @@ pub fn resolve(spec: &str) -> Result<DeviceConfig, DeviceError> {
     }
 }
 
-/// Load, parse and validate a descriptor file. The format is chosen by
-/// extension: `.toml` parses as TOML, anything else as JSON.
+/// Load, parse and validate a JSON descriptor file.
 pub fn load_descriptor(path: &Path) -> Result<DeviceConfig, DeviceError> {
     let text = std::fs::read_to_string(path).map_err(|e| DeviceError::Io {
         path: path.display().to_string(),
         detail: e.to_string(),
     })?;
-    let is_toml = path.extension().map(|e| e == "toml").unwrap_or(false);
-    let dev = if is_toml { parse_toml(&text) } else { parse_json(&text) }?;
+    let dev = parse_json(&text)?;
     dev.validate()?;
     Ok(dev)
 }
@@ -268,7 +265,7 @@ impl DeviceConfig {
         let mut s = String::new();
         s.push_str("{\n");
         s.push_str(&format!("  \"schema\": \"{DEVICE_SCHEMA}\",\n"));
-        s.push_str(&format!("  \"name\": \"{}\",\n", escape(&self.name)));
+        s.push_str(&format!("  \"name\": {},\n", json_string(&self.name)));
         nu(&mut s, "num_smx", self.num_smx as u64);
         nu(&mut s, "max_threads_per_block", self.max_threads_per_block as u64);
         nu(&mut s, "max_threads_per_smx", self.max_threads_per_smx as u64);
@@ -324,57 +321,6 @@ impl DeviceConfig {
         s
     }
 
-    /// Canonical TOML descriptor, same field order and float formatting as
-    /// [`DeviceConfig::descriptor_json`]. A starting point for hand-edited
-    /// device files.
-    pub fn descriptor_toml(&self) -> String {
-        fn nu(s: &mut String, key: &str, v: u64) {
-            s.push_str(&format!("{key} = {v}\n"));
-        }
-        let mut s = String::new();
-        s.push_str(&format!("schema = \"{DEVICE_SCHEMA}\"\n"));
-        s.push_str(&format!("name = \"{}\"\n", escape(&self.name)));
-        nu(&mut s, "num_smx", self.num_smx as u64);
-        nu(&mut s, "max_threads_per_block", self.max_threads_per_block as u64);
-        nu(&mut s, "max_threads_per_smx", self.max_threads_per_smx as u64);
-        nu(&mut s, "max_blocks_per_smx", self.max_blocks_per_smx as u64);
-        nu(&mut s, "registers_per_smx", self.registers_per_smx as u64);
-        nu(&mut s, "max_registers_per_thread", self.max_registers_per_thread as u64);
-        nu(&mut s, "register_alloc_granularity", self.register_alloc_granularity as u64);
-        nu(&mut s, "shared_mem_per_smx", self.shared_mem_per_smx as u64);
-        nu(&mut s, "shared_alloc_granularity", self.shared_alloc_granularity as u64);
-        nu(&mut s, "l1_bytes", self.l1_bytes as u64);
-        nu(&mut s, "l1_line", self.l1_line as u64);
-        nu(&mut s, "l1_assoc", self.l1_assoc as u64);
-        nu(&mut s, "tex_cache_bytes", self.tex_cache_bytes as u64);
-        nu(&mut s, "l2_bytes", self.l2_bytes as u64);
-        nu(&mut s, "l2_assoc", self.l2_assoc as u64);
-        nu(&mut s, "l2_latency", self.l2_latency as u64);
-        nu(&mut s, "mem_queue_depth", self.mem_queue_depth as u64);
-        nu(&mut s, "issue_per_cycle", self.issue_per_cycle as u64);
-        nu(&mut s, "alu_latency", self.alu_latency as u64);
-        nu(&mut s, "sfu_latency", self.sfu_latency as u64);
-        nu(&mut s, "global_latency", self.global_latency as u64);
-        nu(&mut s, "dram_bytes_per_cycle", self.dram_bytes_per_cycle as u64);
-        nu(&mut s, "txn_bytes", self.txn_bytes as u64);
-        nu(&mut s, "shared_latency", self.shared_latency as u64);
-        nu(&mut s, "shared_replay_cost", self.shared_replay_cost as u64);
-        nu(&mut s, "l1_hit_latency", self.l1_hit_latency as u64);
-        nu(&mut s, "const_latency", self.const_latency as u64);
-        nu(&mut s, "const_serialize_cost", self.const_serialize_cost as u64);
-        nu(&mut s, "shfl_latency", self.shfl_latency as u64);
-        s.push_str(&format!("supports_shfl = {}\n", self.supports_shfl));
-        nu(&mut s, "barrier_cost", self.barrier_cost as u64);
-        nu(&mut s, "block_launch_cost", self.block_launch_cost as u64);
-        s.push_str(&format!("clock_ghz = {:?}\n", self.clock_ghz));
-        s.push_str("\n[dynpar]\n");
-        s.push_str(&format!("enabled_overhead = {:?}\n", self.dynpar.enabled_overhead));
-        s.push_str(&format!("launch_overhead_cycles = {}\n", self.dynpar.launch_overhead_cycles));
-        s.push_str(&format!("launch_parallelism = {}\n", self.dynpar.launch_parallelism));
-        s.push_str(&format!("global_handoff_cycles = {}\n", self.dynpar.global_handoff_cycles));
-        s
-    }
-
     /// Stable FNV-1a digest of the canonical JSON descriptor. Two configs
     /// digest equal iff every parameter is equal; the digest is embedded in
     /// bench trajectories so a baseline diff can tell "the device changed"
@@ -389,334 +335,110 @@ impl DeviceConfig {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// Intermediate descriptor value: both parsers lower their input to this
-/// shape and the shared [`build`] step maps fields onto `DeviceConfig` with
-/// typed errors.
-#[derive(Debug, Clone)]
-enum Val {
-    Str(String),
-    Num(String),
-    Bool(bool),
-    Obj(Vec<(String, Val)>),
-}
-
-fn perr(detail: impl Into<String>) -> DeviceError {
-    DeviceError::Parse { detail: detail.into() }
-}
-
-/// Parse a JSON descriptor. Hand-rolled on purpose — the workspace serde is
-/// a no-op shim, and the grammar here is a flat object with one nested
-/// `dynpar` object, strings, numbers and booleans.
+/// Parse a JSON descriptor: one object with a nested `dynpar` object,
+/// mapped onto `DeviceConfig` with typed errors.
 pub fn parse_json(text: &str) -> Result<DeviceConfig, DeviceError> {
-    let mut sc = Scanner { b: text.as_bytes(), i: 0 };
-    sc.ws();
-    let fields = sc.object()?;
-    sc.ws();
-    if sc.i != sc.b.len() {
-        return Err(perr("trailing bytes after descriptor object"));
-    }
-    build(fields)
-}
-
-struct Scanner<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Scanner<'_> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), DeviceError> {
-        if self.i < self.b.len() && self.b[self.i] == c {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(perr(format!("expected '{}' at byte {}", c as char, self.i)))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, DeviceError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i) {
-                None => return Err(perr("unterminated string")),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.b.get(self.i) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        _ => return Err(perr("unsupported string escape")),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 is carried through byte by byte; the
-                    // input is a &str so the bytes are valid by construction.
-                    let start = self.i;
-                    while self.i < self.b.len()
-                        && self.b[self.i] != b'"'
-                        && self.b[self.i] != b'\\'
-                    {
-                        self.i += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.b[start..self.i]).unwrap());
-                }
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<Val, DeviceError> {
-        self.ws();
-        match self.b.get(self.i) {
-            Some(b'"') => Ok(Val::Str(self.string()?)),
-            Some(b'{') => Ok(Val::Obj(self.object()?)),
-            Some(b't') if self.b[self.i..].starts_with(b"true") => {
-                self.i += 4;
-                Ok(Val::Bool(true))
-            }
-            Some(b'f') if self.b[self.i..].starts_with(b"false") => {
-                self.i += 5;
-                Ok(Val::Bool(false))
-            }
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                let start = self.i;
-                while self.i < self.b.len()
-                    && matches!(self.b[self.i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                {
-                    self.i += 1;
-                }
-                Ok(Val::Num(String::from_utf8(self.b[start..self.i].to_vec()).unwrap()))
-            }
-            _ => Err(perr(format!("unexpected value at byte {}", self.i))),
-        }
-    }
-
-    fn object(&mut self) -> Result<Vec<(String, Val)>, DeviceError> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(fields);
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(fields);
-                }
-                _ => return Err(perr(format!("expected ',' or '}}' at byte {}", self.i))),
-            }
-        }
+    match Json::parse(text) {
+        Ok(Json::Obj(fields)) => build(fields),
+        Ok(_) => Err(DeviceError::Parse { detail: "descriptor is not a JSON object".into() }),
+        Err(detail) => Err(DeviceError::Parse { detail }),
     }
 }
 
-/// Parse a TOML descriptor: `key = value` lines, `#` comments, and a single
-/// optional `[dynpar]` table.
-pub fn parse_toml(text: &str) -> Result<DeviceConfig, DeviceError> {
-    let mut top: Vec<(String, Val)> = Vec::new();
-    let mut dynpar: Vec<(String, Val)> = Vec::new();
-    let mut in_dynpar = false;
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = strip_toml_comment(raw).trim().to_string();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(section) = line.strip_prefix('[') {
-            let section = section
-                .strip_suffix(']')
-                .ok_or_else(|| perr(format!("line {}: unterminated table header", lineno + 1)))?;
-            if section.trim() != "dynpar" {
-                return Err(DeviceError::UnknownField(format!("[{}]", section.trim())));
-            }
-            in_dynpar = true;
-            continue;
-        }
-        let eq = line
-            .find('=')
-            .ok_or_else(|| perr(format!("line {}: expected `key = value`", lineno + 1)))?;
-        let key = line[..eq].trim().to_string();
-        let raw_val = line[eq + 1..].trim();
-        let val = if let Some(rest) = raw_val.strip_prefix('"') {
-            let body = rest
-                .strip_suffix('"')
-                .ok_or_else(|| perr(format!("line {}: unterminated string", lineno + 1)))?;
-            Val::Str(body.replace("\\\"", "\"").replace("\\\\", "\\"))
-        } else if raw_val == "true" {
-            Val::Bool(true)
-        } else if raw_val == "false" {
-            Val::Bool(false)
-        } else if !raw_val.is_empty() {
-            Val::Num(raw_val.to_string())
-        } else {
-            return Err(perr(format!("line {}: empty value", lineno + 1)));
-        };
-        if in_dynpar {
-            dynpar.push((key, val));
-        } else {
-            top.push((key, val));
-        }
-    }
-    if !dynpar.is_empty() {
-        top.push(("dynpar".to_string(), Val::Obj(dynpar)));
-    }
-    build(top)
+type Fields = Vec<(String, Json)>;
+
+/// Remove and return the member `key` (first match; a duplicate left
+/// behind surfaces as an unknown field).
+fn take(fields: &mut Fields, key: &'static str) -> Result<Json, DeviceError> {
+    let i = fields.iter().position(|(k, _)| k == key).ok_or(DeviceError::MissingField(key))?;
+    Ok(fields.remove(i).1)
 }
 
-fn strip_toml_comment(line: &str) -> &str {
-    let mut in_str = false;
-    let mut prev_backslash = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' if !prev_backslash => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-        prev_backslash = c == '\\' && !prev_backslash;
-    }
-    line
+fn bad_value(field: &'static str, v: &Json) -> DeviceError {
+    DeviceError::BadValue { field, value: format!("{v:?}") }
 }
 
-fn take(fields: &mut Vec<(String, Val)>, key: &str) -> Option<Val> {
-    fields.iter().position(|(k, _)| k == key).map(|i| fields.remove(i).1)
-}
-
-fn take_str(fields: &mut Vec<(String, Val)>, key: &'static str) -> Result<String, DeviceError> {
-    match take(fields, key) {
-        None => Err(DeviceError::MissingField(key)),
-        Some(Val::Str(s)) => Ok(s),
-        Some(v) => Err(DeviceError::BadValue { field: key, value: format!("{v:?}") }),
+fn take_str(fields: &mut Fields, key: &'static str) -> Result<String, DeviceError> {
+    match take(fields, key)? {
+        Json::Str(s) => Ok(s),
+        v => Err(bad_value(key, &v)),
     }
 }
 
-fn take_u32(fields: &mut Vec<(String, Val)>, key: &'static str) -> Result<u32, DeviceError> {
-    match take(fields, key) {
-        None => Err(DeviceError::MissingField(key)),
-        Some(Val::Num(raw)) => {
+/// A numeric field parsed from its source lexeme as `T`, so integers
+/// decode exactly and a float or negative in an integer field is rejected.
+fn take_num<T: FromStr>(fields: &mut Fields, key: &'static str) -> Result<T, DeviceError> {
+    match take(fields, key)? {
+        Json::Num(raw) => {
             raw.parse().map_err(|_| DeviceError::BadValue { field: key, value: raw })
         }
-        Some(v) => Err(DeviceError::BadValue { field: key, value: format!("{v:?}") }),
+        v => Err(bad_value(key, &v)),
     }
 }
 
-fn take_u64(fields: &mut Vec<(String, Val)>, key: &'static str) -> Result<u64, DeviceError> {
-    match take(fields, key) {
-        None => Err(DeviceError::MissingField(key)),
-        Some(Val::Num(raw)) => {
-            raw.parse().map_err(|_| DeviceError::BadValue { field: key, value: raw })
-        }
-        Some(v) => Err(DeviceError::BadValue { field: key, value: format!("{v:?}") }),
+fn take_bool(fields: &mut Fields, key: &'static str) -> Result<bool, DeviceError> {
+    match take(fields, key)? {
+        Json::Bool(b) => Ok(b),
+        v => Err(bad_value(key, &v)),
     }
 }
 
-fn take_f64(fields: &mut Vec<(String, Val)>, key: &'static str) -> Result<f64, DeviceError> {
-    match take(fields, key) {
-        None => Err(DeviceError::MissingField(key)),
-        Some(Val::Num(raw)) => {
-            raw.parse().map_err(|_| DeviceError::BadValue { field: key, value: raw })
-        }
-        Some(v) => Err(DeviceError::BadValue { field: key, value: format!("{v:?}") }),
-    }
-}
-
-fn take_bool(fields: &mut Vec<(String, Val)>, key: &'static str) -> Result<bool, DeviceError> {
-    match take(fields, key) {
-        None => Err(DeviceError::MissingField(key)),
-        Some(Val::Bool(b)) => Ok(b),
-        Some(v) => Err(DeviceError::BadValue { field: key, value: format!("{v:?}") }),
-    }
-}
-
-fn build(mut fields: Vec<(String, Val)>) -> Result<DeviceConfig, DeviceError> {
-    if let Some(v) = take(&mut fields, "schema") {
+fn build(mut fields: Fields) -> Result<DeviceConfig, DeviceError> {
+    if let Ok(v) = take(&mut fields, "schema") {
         match v {
-            Val::Str(s) if s == DEVICE_SCHEMA => {}
-            Val::Str(s) => return Err(DeviceError::BadSchema(s)),
-            other => {
-                return Err(DeviceError::BadValue { field: "schema", value: format!("{other:?}") })
-            }
+            Json::Str(s) if s == DEVICE_SCHEMA => {}
+            Json::Str(s) => return Err(DeviceError::BadSchema(s)),
+            other => return Err(bad_value("schema", &other)),
         }
     }
-    let dynpar = match take(&mut fields, "dynpar") {
-        None => Err(DeviceError::MissingField("dynpar")),
-        Some(Val::Obj(mut inner)) => {
-            let d = DynParConfig {
-                enabled_overhead: take_f64(&mut inner, "enabled_overhead")?,
-                launch_overhead_cycles: take_u64(&mut inner, "launch_overhead_cycles")?,
-                launch_parallelism: take_u32(&mut inner, "launch_parallelism")?,
-                global_handoff_cycles: take_u64(&mut inner, "global_handoff_cycles")?,
-            };
-            if let Some((k, _)) = inner.first() {
-                return Err(DeviceError::UnknownField(format!("dynpar.{k}")));
-            }
-            Ok(d)
-        }
-        Some(v) => Err(DeviceError::BadValue { field: "dynpar", value: format!("{v:?}") }),
-    }?;
+    let mut inner = match take(&mut fields, "dynpar")? {
+        Json::Obj(inner) => inner,
+        v => return Err(bad_value("dynpar", &v)),
+    };
+    let dynpar = DynParConfig {
+        enabled_overhead: take_num(&mut inner, "enabled_overhead")?,
+        launch_overhead_cycles: take_num(&mut inner, "launch_overhead_cycles")?,
+        launch_parallelism: take_num(&mut inner, "launch_parallelism")?,
+        global_handoff_cycles: take_num(&mut inner, "global_handoff_cycles")?,
+    };
+    if let Some((k, _)) = inner.first() {
+        return Err(DeviceError::UnknownField(format!("dynpar.{k}")));
+    }
     let dev = DeviceConfig {
         name: take_str(&mut fields, "name")?,
-        num_smx: take_u32(&mut fields, "num_smx")?,
-        max_threads_per_block: take_u32(&mut fields, "max_threads_per_block")?,
-        max_threads_per_smx: take_u32(&mut fields, "max_threads_per_smx")?,
-        max_blocks_per_smx: take_u32(&mut fields, "max_blocks_per_smx")?,
-        registers_per_smx: take_u32(&mut fields, "registers_per_smx")?,
-        max_registers_per_thread: take_u32(&mut fields, "max_registers_per_thread")?,
-        register_alloc_granularity: take_u32(&mut fields, "register_alloc_granularity")?,
-        shared_mem_per_smx: take_u32(&mut fields, "shared_mem_per_smx")?,
-        shared_alloc_granularity: take_u32(&mut fields, "shared_alloc_granularity")?,
-        l1_bytes: take_u32(&mut fields, "l1_bytes")?,
-        l1_line: take_u32(&mut fields, "l1_line")?,
-        l1_assoc: take_u32(&mut fields, "l1_assoc")?,
-        tex_cache_bytes: take_u32(&mut fields, "tex_cache_bytes")?,
-        l2_bytes: take_u32(&mut fields, "l2_bytes")?,
-        l2_assoc: take_u32(&mut fields, "l2_assoc")?,
-        l2_latency: take_u32(&mut fields, "l2_latency")?,
-        mem_queue_depth: take_u32(&mut fields, "mem_queue_depth")?,
-        issue_per_cycle: take_u32(&mut fields, "issue_per_cycle")?,
-        alu_latency: take_u32(&mut fields, "alu_latency")?,
-        sfu_latency: take_u32(&mut fields, "sfu_latency")?,
-        global_latency: take_u32(&mut fields, "global_latency")?,
-        dram_bytes_per_cycle: take_u32(&mut fields, "dram_bytes_per_cycle")?,
-        txn_bytes: take_u32(&mut fields, "txn_bytes")?,
-        shared_latency: take_u32(&mut fields, "shared_latency")?,
-        shared_replay_cost: take_u32(&mut fields, "shared_replay_cost")?,
-        l1_hit_latency: take_u32(&mut fields, "l1_hit_latency")?,
-        const_latency: take_u32(&mut fields, "const_latency")?,
-        const_serialize_cost: take_u32(&mut fields, "const_serialize_cost")?,
-        shfl_latency: take_u32(&mut fields, "shfl_latency")?,
+        num_smx: take_num(&mut fields, "num_smx")?,
+        max_threads_per_block: take_num(&mut fields, "max_threads_per_block")?,
+        max_threads_per_smx: take_num(&mut fields, "max_threads_per_smx")?,
+        max_blocks_per_smx: take_num(&mut fields, "max_blocks_per_smx")?,
+        registers_per_smx: take_num(&mut fields, "registers_per_smx")?,
+        max_registers_per_thread: take_num(&mut fields, "max_registers_per_thread")?,
+        register_alloc_granularity: take_num(&mut fields, "register_alloc_granularity")?,
+        shared_mem_per_smx: take_num(&mut fields, "shared_mem_per_smx")?,
+        shared_alloc_granularity: take_num(&mut fields, "shared_alloc_granularity")?,
+        l1_bytes: take_num(&mut fields, "l1_bytes")?,
+        l1_line: take_num(&mut fields, "l1_line")?,
+        l1_assoc: take_num(&mut fields, "l1_assoc")?,
+        tex_cache_bytes: take_num(&mut fields, "tex_cache_bytes")?,
+        l2_bytes: take_num(&mut fields, "l2_bytes")?,
+        l2_assoc: take_num(&mut fields, "l2_assoc")?,
+        l2_latency: take_num(&mut fields, "l2_latency")?,
+        mem_queue_depth: take_num(&mut fields, "mem_queue_depth")?,
+        issue_per_cycle: take_num(&mut fields, "issue_per_cycle")?,
+        alu_latency: take_num(&mut fields, "alu_latency")?,
+        sfu_latency: take_num(&mut fields, "sfu_latency")?,
+        global_latency: take_num(&mut fields, "global_latency")?,
+        dram_bytes_per_cycle: take_num(&mut fields, "dram_bytes_per_cycle")?,
+        txn_bytes: take_num(&mut fields, "txn_bytes")?,
+        shared_latency: take_num(&mut fields, "shared_latency")?,
+        shared_replay_cost: take_num(&mut fields, "shared_replay_cost")?,
+        l1_hit_latency: take_num(&mut fields, "l1_hit_latency")?,
+        const_latency: take_num(&mut fields, "const_latency")?,
+        const_serialize_cost: take_num(&mut fields, "const_serialize_cost")?,
+        shfl_latency: take_num(&mut fields, "shfl_latency")?,
         supports_shfl: take_bool(&mut fields, "supports_shfl")?,
-        barrier_cost: take_u32(&mut fields, "barrier_cost")?,
-        block_launch_cost: take_u32(&mut fields, "block_launch_cost")?,
-        clock_ghz: take_f64(&mut fields, "clock_ghz")?,
+        barrier_cost: take_num(&mut fields, "barrier_cost")?,
+        block_launch_cost: take_num(&mut fields, "block_launch_cost")?,
+        clock_ghz: take_num(&mut fields, "clock_ghz")?,
         dynpar,
     };
     if let Some((k, _)) = fields.first() {
@@ -769,24 +491,6 @@ mod tests {
             assert_eq!(back.digest(), dev.digest(), "{name} digest moved");
             assert_eq!(back.name, dev.name);
         }
-    }
-
-    #[test]
-    fn toml_round_trip_matches_json_digest() {
-        for name in REGISTRY {
-            let dev = from_name(name).unwrap();
-            let back = parse_toml(&dev.descriptor_toml()).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(back.digest(), dev.digest(), "{name} TOML round trip moved the digest");
-        }
-    }
-
-    #[test]
-    fn toml_comments_and_blank_lines_are_ignored() {
-        let mut text = String::from("# hand-edited descriptor\n\n");
-        text.push_str(&DeviceConfig::gtx680().descriptor_toml());
-        text.push_str("\n# trailing note\n");
-        let dev = parse_toml(&text).unwrap();
-        assert_eq!(dev.digest(), DeviceConfig::gtx680().digest());
     }
 
     #[test]
@@ -864,6 +568,9 @@ mod tests {
             parse_json(&bad_schema).unwrap_err(),
             DeviceError::BadSchema("np-device-v0".to_string())
         );
+        for bad in ["", "[1]", "{\"name\": \"x\""] {
+            assert!(matches!(parse_json(bad), Err(DeviceError::Parse { .. })), "{bad:?}");
+        }
     }
 
     #[test]
@@ -875,10 +582,6 @@ mod tests {
         std::fs::write(&json_path, DeviceConfig::k20c().descriptor_json()).unwrap();
         let loaded = resolve(json_path.to_str().unwrap()).unwrap();
         assert_eq!(loaded.digest(), DeviceConfig::k20c().digest());
-        let toml_path = dir.join("dev.toml");
-        std::fs::write(&toml_path, DeviceConfig::small_test().descriptor_toml()).unwrap();
-        let loaded = resolve(toml_path.to_str().unwrap()).unwrap();
-        assert_eq!(loaded.digest(), DeviceConfig::small_test().digest());
     }
 
     #[test]

@@ -57,15 +57,12 @@ impl DeviceSel {
     }
 }
 
-/// Short filename token for one `--devices` entry: the basename with any
-/// descriptor extension stripped, non-identifier characters mapped to `-`.
-/// `gtx680` stays `gtx680`; `configs/myguy.toml` becomes `myguy`.
+/// Short filename token for one `--devices` entry: the basename with a
+/// `.json` extension stripped, non-identifier characters mapped to `-`.
+/// `gtx680` stays `gtx680`; `configs/myguy.json` becomes `myguy`.
 pub fn device_token(spec: &str) -> String {
     let base = spec.rsplit(['/', '\\']).next().unwrap_or(spec);
-    let base = base
-        .strip_suffix(".json")
-        .or_else(|| base.strip_suffix(".toml"))
-        .unwrap_or(base);
+    let base = base.strip_suffix(".json").unwrap_or(base);
     base.chars()
         .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '-' })
         .collect()
@@ -102,7 +99,7 @@ mod tests {
     #[test]
     fn tokens_and_tagged_paths_compose() {
         assert_eq!(device_token("gtx680"), "gtx680");
-        assert_eq!(device_token("configs/my guy.toml"), "my-guy");
+        assert_eq!(device_token("configs/my guy.json"), "my-guy");
         assert_eq!(device_token("a\\b.json"), "b");
         assert_eq!(device_tagged_path("BENCH_results.json", "k20c"), "BENCH_results.k20c.json");
         assert_eq!(device_tagged_path("results", "k20c"), "results.k20c");

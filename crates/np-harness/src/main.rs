@@ -14,7 +14,7 @@
 //!
 //! `--device SPEC` pins every experiment to one device: a registry name
 //! (`gtx680`, `k20c`, `maxwell`, `small_test`) or a descriptor file
-//! (`.json`/`.toml`, validated on load). Without it, each experiment runs
+//! (`.json`, validated on load). Without it, each experiment runs
 //! on the device the paper used for it — speedup figures on the GTX 680,
 //! the Figure-1 dynamic-parallelism microbenchmark on the K20c.
 //!

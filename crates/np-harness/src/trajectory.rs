@@ -9,14 +9,15 @@
 //! (`BENCH_baseline.gtx680.json` for the default device) with a relative
 //! cycle tolerance (see [`check_against_baseline`]).
 //!
-//! The serde shim is a no-op, so both serialization and the baseline check
-//! are hand-rolled over the exact format emitted here (one workload object
-//! per line; diffs read naturally).
+//! The writer is hand-rolled (one workload object per line; diffs read
+//! naturally). The baseline check reads both documents with the shared
+//! `np_obs::Json` parser, so it depends on the schema, not on that layout.
 
 use crate::runner::{gm, WorkloadOutcome};
 use cuda_np::tuner::{TuneEntry, TuneOutcome};
 use np_gpu_sim::DeviceConfig;
 use np_kernel_ir::pragma::NpType;
+use np_obs::{json_string, Json};
 
 /// Schema tag written into every document; bump when the layout changes.
 /// v2 added `device_digest` (the FNV-64 of the device's canonical
@@ -93,9 +94,9 @@ fn tune_json(r: &crate::runner::BenchResult) -> String {
 /// every number is either an exact integer or a fixed-precision float.
 pub fn to_json(outcomes: &[WorkloadOutcome], dev: &DeviceConfig, scale: &str) -> String {
     let mut s = format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"device\": \"{}\",\n  \
+        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"device\": {},\n  \
          \"device_digest\": \"{}\",\n  \"scale\": \"{scale}\",\n  \"workloads\": [\n",
-        dev.name,
+        json_string(&dev.name),
         dev.digest_hex()
     );
     let mut speedups = Vec::new();
@@ -144,52 +145,12 @@ pub fn to_json(outcomes: &[WorkloadOutcome], dev: &DeviceConfig, scale: &str) ->
     s
 }
 
-/// Extract the `{...}` object for workload `name` out of a trajectory
-/// document (objects are one per line, `"name"` first).
-fn workload_object<'a>(doc: &'a str, name: &str) -> Option<&'a str> {
-    let tag = format!("{{\"name\":\"{name}\",");
-    let start = doc.find(&tag)?;
-    let rest = &doc[start..];
-    let end = rest.find('\n').unwrap_or(rest.len());
-    Some(rest[..end].trim_end_matches(','))
-}
-
-/// Scan `obj` for `"key":<integer>`. First match wins; the trajectory
-/// format never repeats a key inside one workload object's top level before
-/// its nested breakdowns, so ordering in [`to_json`] keeps this exact for
-/// the cycle fields checked below.
-fn extract_u64(obj: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\":");
-    let at = obj.find(&tag)?;
-    let digits: String = obj[at + tag.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Every workload name appearing in a trajectory document, in order.
-fn workload_names(doc: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut rest = doc;
-    while let Some(at) = rest.find("{\"name\":\"") {
-        let tail = &rest[at + 9..];
-        if let Some(end) = tail.find('"') {
-            out.push(tail[..end].to_string());
-            rest = &tail[end..];
-        } else {
-            break;
-        }
-    }
-    out
-}
-
 /// Compare a freshly generated trajectory against a committed baseline.
 ///
 /// For every workload in the baseline, `baseline_cycles` and `best_cycles`
-/// must match within relative `tolerance` (e.g. `0.02` = ±2%); a workload
-/// missing from the current document, a parse failure, or a cycle count
-/// drifting past tolerance each produce one diagnostic. Workloads *added*
+/// must match within relative `tolerance` (e.g. `0.02` = ±2%); a document
+/// that does not parse, a workload missing from the current document, or a
+/// cycle count drifting past tolerance each produce one diagnostic. Workloads *added*
 /// in the current document are fine (the trajectory grows); `Ok` means the
 /// gate is green.
 pub fn check_against_baseline(
@@ -197,22 +158,37 @@ pub fn check_against_baseline(
     baseline: &str,
     tolerance: f64,
 ) -> Result<(), Vec<String>> {
+    let parse = |label: &str, text: &str| {
+        Json::parse(text).map_err(|e| format!("{label} document is not valid JSON: {e}"))
+    };
+    let (current, baseline) = match (parse("current", current), parse("baseline", baseline)) {
+        (Ok(c), Ok(b)) => (c, b),
+        (c, b) => return Err(c.err().into_iter().chain(b.err()).collect()),
+    };
+    fn workloads(doc: &Json) -> &[Json] {
+        doc.get("workloads").and_then(Json::as_array).unwrap_or(&[])
+    }
+    fn name_of(w: &Json) -> Option<&str> {
+        w.get("name").and_then(Json::as_str)
+    }
     let mut problems = Vec::new();
-    let names = workload_names(baseline);
-    if names.is_empty() {
+    if workloads(&baseline).is_empty() {
         problems.push("baseline document lists no workloads".to_string());
     }
-    for name in names {
-        let Some(b) = workload_object(baseline, &name) else { continue };
-        if b.contains("\"failed\":true") {
+    for b in workloads(&baseline) {
+        let Some(name) = name_of(b) else {
+            problems.push("baseline workload without a name".to_string());
+            continue;
+        };
+        if b.get("failed").and_then(Json::as_bool) == Some(true) {
             continue;
         }
-        let Some(c) = workload_object(current, &name) else {
+        let Some(c) = workloads(&current).iter().find(|c| name_of(c) == Some(name)) else {
             problems.push(format!("{name}: missing from current results"));
             continue;
         };
         for key in ["baseline_cycles", "best_cycles"] {
-            match (extract_u64(b, key), extract_u64(c, key)) {
+            match (b.get(key).and_then(Json::as_u64), c.get(key).and_then(Json::as_u64)) {
                 (Some(want), Some(got)) => {
                     let rel = (got as f64 - want as f64).abs() / (want as f64).max(1.0);
                     if rel > tolerance {
@@ -312,6 +288,20 @@ mod tests {
         // Extra workloads in current never fail the gate.
         let grown = doc(&[("TMV", 1000, 400), ("NEW", 7, 3)]);
         check_against_baseline(&grown, &base, 0.0).unwrap();
+    }
+
+    #[test]
+    fn unparseable_documents_are_one_diagnostic_each() {
+        let base = doc(&[("TMV", 1000, 400), ("MV", 2000, 900)]);
+        // A baseline cut off after its first workload used to gate only
+        // that workload; now the whole document is rejected.
+        let cut = &base[..base.find("MV").unwrap()];
+        let errs = check_against_baseline(&base, cut, 0.02).unwrap_err();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].starts_with("baseline document is not valid JSON"), "{errs:?}");
+        let errs = check_against_baseline("{", cut, 0.02).unwrap_err();
+        assert_eq!(errs.len(), 2, "{errs:?}");
+        assert!(errs[0].starts_with("current document"), "{errs:?}");
     }
 
     #[test]

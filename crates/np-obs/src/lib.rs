@@ -17,20 +17,25 @@
 //!   handles, one key-sorted `np-obs-registry-v1` snapshot document.
 //! * [`fnv`] / [`hist`] — the shared FNV-1a content hash and the shared
 //!   nearest-rank histogram (0- and 1-sample safe).
+//! * [`json`] — the workspace's one JSON codec: the [`Json`] value parser
+//!   (serve wire format, device descriptors, bench trajectories) and the
+//!   [`json_string`] escaper every renderer uses.
 //!
 //! See `DESIGN.md` §15 for the `np-obs-v1` event schema, the determinism
 //! contract, and the serve correlation-id lifecycle.
 
 pub mod fnv;
 pub mod hist;
+pub mod json;
 pub mod recorder;
 pub mod registry;
 
 pub use fnv::fnv64;
 pub use hist::{Histogram, HistSnapshot};
+pub use json::{json_string, Json};
 pub use recorder::{
-    aggregate_spans, bump, check_well_formed, chrome_trace_events, current, event, json_string,
-    kv, render_jsonl, render_line, scope, span, strip_text, EvKind, FieldVal, Fields, Level,
-    ObsCtx, RawEvent, Recorder, SpanGuard, StageStat, StreamTarget, SPAN_LEVEL,
+    aggregate_spans, bump, check_well_formed, chrome_trace_events, current, event, kv,
+    render_jsonl, render_line, scope, span, strip_text, EvKind, FieldVal, Fields, Level, ObsCtx,
+    RawEvent, Recorder, SpanGuard, StageStat, StreamTarget, SPAN_LEVEL,
 };
 pub use registry::{Counter, Gauge, Hist, Registry};

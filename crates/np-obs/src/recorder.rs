@@ -44,6 +44,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use crate::json::json_string;
 use crate::registry::{Counter, Registry};
 
 /// Event severity, ordered. Spans record at [`SPAN_LEVEL`].
@@ -162,25 +163,6 @@ impl EvKind {
             EvKind::Event { level, .. } => *level,
         }
     }
-}
-
-/// JSON-escape and quote a string.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn render_field(v: &FieldVal) -> String {

@@ -7,6 +7,13 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Benchmark-build guard: perfbench/ is its own package with a committed
+# lockfile, built with --locked. A crate change that would rewrite
+# perfbench/Cargo.lock (a dependency added or dropped) fails here instead
+# of silently breaking the benchmark command in BENCHMARK.json.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 # Profiler regression gates: golden counters must match the checked-in
 # snapshots byte-for-byte, and every workload must stay equivalent to its
 # scalar reference across the slave-size x np-type sweep.

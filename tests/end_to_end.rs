@@ -6,7 +6,7 @@ use cuda_np::tuner::{alloc_extra_buffers, autotune, default_candidates};
 use cuda_np::{transform, NpOptions};
 use np_exec::{launch, SimOptions};
 use np_gpu_sim::DeviceConfig;
-use np_workloads::{all_workloads, assert_close, Scale};
+use np_workloads::{all_workloads, assert_close, nn::Nn, tmv::Tmv, Scale, Workload};
 
 #[test]
 fn every_workload_baseline_matches_its_reference() {
@@ -203,4 +203,59 @@ fn transformed_kernels_are_race_free() {
                 .unwrap_or_else(|e| panic!("{}: {e}", w.name()));
         }
     }
+}
+
+/// The paper's mechanisms show in the profile counters, not only in cycles:
+/// Figure 16's shfl vs shared-memory communication on TMV and Section 5.3's
+/// coalescing gain on NN. The golden counters pin only baselines and tuner
+/// winners, so these fixed configurations are checked here.
+#[test]
+fn profile_counters_show_the_paper_mechanisms() {
+    let dev = DeviceConfig::gtx680();
+    let run = |w: &dyn Workload, opts: Option<&NpOptions>| match opts {
+        None => {
+            let mut args = w.make_args();
+            launch(&dev, &w.kernel(), w.grid(), &mut args, &w.sim_options()).unwrap()
+        }
+        Some(opts) => {
+            let t = transform(&w.kernel(), opts).unwrap();
+            let mut args = alloc_extra_buffers(w.make_args(), &t, w.grid());
+            launch(&dev, &t.kernel, w.grid(), &mut args, &w.sim_options()).unwrap()
+        }
+    };
+    let intra8 = |use_shfl| {
+        let mut opts = NpOptions::intra(8);
+        opts.use_shfl = Some(use_shfl);
+        opts
+    };
+    let tmv = Tmv::new(Scale::Test);
+    let baseline = run(&tmv, None);
+    let shfl = run(&tmv, Some(&intra8(true)));
+    let shared = run(&tmv, Some(&intra8(false)));
+
+    // Figure 16: the shfl variant combines live-outs in registers; the
+    // shared variant stages them through shared memory instead.
+    assert!(shfl.profile.total.shfl_ops() > 0, "intra+shfl must emit shfl traffic");
+    assert_eq!(shared.profile.total.shfl_ops(), 0, "no-shfl variant must not shfl");
+    assert!(
+        shared.profile.total.shared_accesses > shfl.profile.total.shared_accesses,
+        "shared-memory staging must show up in the counters"
+    );
+    // Section 5.3: NN's baseline loop is badly strided, and slave threads
+    // coalesce it.
+    let nn = Nn::new(Scale::Test);
+    let (base_nn, np_nn) = (run(&nn, None), run(&nn, Some(&NpOptions::intra(8))));
+    assert!(
+        np_nn.profile.coalescing_efficiency() > base_nn.profile.coalescing_efficiency(),
+        "NP transform must improve NN coalescing: {:.3} -> {:.3}",
+        base_nn.profile.coalescing_efficiency(),
+        np_nn.profile.coalescing_efficiency()
+    );
+    for rep in [&baseline, &shfl, &shared] {
+        let e = rep.profile.coalescing_efficiency();
+        assert!(e > 0.0 && e <= 1.0, "efficiency out of range: {e}");
+        assert!(rep.profile.total.instructions > 0);
+    }
+    // A rerun exports byte-identical profile JSON.
+    assert_eq!(run(&tmv, Some(&intra8(true))).profile.to_json(), shfl.profile.to_json());
 }
