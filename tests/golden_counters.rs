@@ -1,5 +1,6 @@
 //! Golden-counter snapshot suite: every Table-1 workload's deterministic
-//! profile counters — baseline and best NP configuration — are pinned
+//! profile counters — baseline, best NP configuration, and every tuning
+//! candidate's cycles, profile and stall breakdown — are pinned
 //! byte-for-byte against checked-in JSON goldens under `tests/goldens/`.
 //!
 //! The counters are a pure function of kernel + arguments + launch config
@@ -11,7 +12,7 @@
 //! UPDATE_GOLDENS=1 cargo test --test golden_counters
 //! ```
 
-use cuda_np::tuner::{alloc_extra_buffers, autotune, default_candidates};
+use cuda_np::tuner::{alloc_extra_buffers, autotune, default_candidates, TuneEntry, TuneOutcome};
 use np_exec::launch;
 use np_gpu_sim::DeviceConfig;
 use np_kernel_ir::pragma::NpType;
@@ -29,9 +30,34 @@ fn np_type_str(t: NpType) -> &'static str {
     }
 }
 
-/// One workload's snapshot document: baseline profile plus the tuning
-/// winner's identity and profile. Indentation is fixed so the file is
-/// byte-stable and diffs read naturally.
+/// One tuning candidate: its identity, outcome kind, cycles, launch-total
+/// profile counters and stall breakdown (`null` where it did not run to
+/// completion), on one line.
+fn candidate_json(e: &TuneEntry) -> String {
+    let outcome = match e.outcome {
+        TuneOutcome::Ok { .. } => "ok",
+        TuneOutcome::Rejected(_) => "rejected",
+        TuneOutcome::Faulted(_) => "faulted",
+        TuneOutcome::LaunchFailed(_) => "launch_failed",
+        TuneOutcome::Skipped => "skipped",
+        _ => "other",
+    };
+    let or_null = |v: Option<String>| v.unwrap_or_else(|| "null".to_string());
+    format!(
+        "{{\"np_type\": \"{}\", \"slave_size\": {}, \"outcome\": \"{outcome}\", \
+         \"cycles\": {}, \"profile\": {}, \"stall\": {}}}",
+        np_type_str(e.np_type),
+        e.slave_size,
+        or_null(e.cycles().map(|c| c.to_string())),
+        or_null(e.profile.as_ref().map(|p| p.to_json())),
+        or_null(e.stall.as_ref().map(|s| s.to_json())),
+    )
+}
+
+/// One workload's snapshot document: baseline profile, the tuning
+/// winner's identity and profile, and every candidate the tuner evaluated.
+/// Indentation is fixed so the file is byte-stable and diffs read
+/// naturally.
 fn snapshot(w: &dyn Workload, dev: &DeviceConfig) -> String {
     let kernel = w.kernel();
     let grid = w.grid();
@@ -58,11 +84,13 @@ fn snapshot(w: &dyn Workload, dev: &DeviceConfig) -> String {
         .expect("winner entry exists");
 
     let indent = |json: &str| json.replace('\n', "\n  ");
+    let candidates: Vec<String> =
+        tuned.entries.iter().map(|e| format!("    {}", candidate_json(e))).collect();
     format!(
         "{{\n  \"workload\": \"{}\",\n  \"baseline\": {},\n  \"baseline_stall\": {},\n  \
          \"best\": {{\n    \
          \"np_type\": \"{}\",\n    \"slave_size\": {},\n    \"profile\": {},\n    \
-         \"stall\": {}\n  }}\n}}\n",
+         \"stall\": {}\n  }},\n  \"candidates\": [\n{}\n  ]\n}}\n",
         w.name(),
         indent(&baseline.profile.to_json()),
         baseline.timing.stall.to_json(),
@@ -70,6 +98,7 @@ fn snapshot(w: &dyn Workload, dev: &DeviceConfig) -> String {
         winner.slave_size,
         indent(&indent(&tuned.best_report.profile.to_json())),
         tuned.best_report.timing.stall.to_json(),
+        candidates.join(",\n"),
     )
 }
 
