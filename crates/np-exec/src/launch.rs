@@ -309,7 +309,7 @@ pub fn launch(
     let (run, resources, occ) = interpret_launch(dev, kernel, grid, args, opts)?;
     let timing = {
         let _t = np_obs::span("exec.timing");
-        simulate_blocks(dev, &occ, run.traces, grid.count())
+        simulate_blocks(dev, &occ, &run.traces, grid.count())
     };
     Ok(KernelReport {
         kernel_name: kernel.name.clone(),

@@ -41,7 +41,7 @@ pub mod trace;
 pub use capture::{CapturedLaunch, CapturedRaceMode, TraceDecodeError, TRACE_MAGIC};
 pub use config::{DeviceConfig, DynParConfig, TICKS_PER_CYCLE, WARP_SIZE};
 pub use device::{DeviceError, DEVICE_SCHEMA, REGISTRY};
-pub use engine::{simulate_blocks, BlockSource, Engine, IterSource};
+pub use engine::{simulate_blocks, Engine};
 pub use occupancy::{occupancy, KernelResources, Limiter, Occupancy, OccupancyError};
 pub use profile::{BlockProfile, ProfileCounters, ProfileReport};
 pub use racecheck::{

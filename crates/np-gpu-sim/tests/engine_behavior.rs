@@ -35,7 +35,7 @@ fn one_warp_block(ops: impl FnOnce(&mut TraceBuilder)) -> BlockTrace {
 fn run(blocks: Vec<BlockTrace>, block_size: u32) -> TimingReport {
     let d = dev();
     let total = blocks.len() as u64;
-    simulate_blocks(&d, &occ(&d, block_size), blocks, total)
+    simulate_blocks(&d, &occ(&d, block_size), &blocks, total)
 }
 
 #[test]
@@ -235,7 +235,7 @@ fn more_resident_blocks_speed_up_latency_bound_grids() {
     };
     let blocks: Vec<BlockTrace> = (0..8).map(|s| mk(s as u64)).collect();
     let occ_high = occ(&d, 32);
-    let r_high = simulate_blocks(&d, &occ_high, blocks.clone(), 8);
+    let r_high = simulate_blocks(&d, &occ_high, &blocks, 8);
     let occ_low = occupancy(
         &d,
         &KernelResources {
@@ -247,7 +247,7 @@ fn more_resident_blocks_speed_up_latency_bound_grids() {
     )
     .unwrap();
     assert_eq!(occ_low.blocks_per_smx, 1);
-    let r_low = simulate_blocks(&d, &occ_low, blocks, 8);
+    let r_low = simulate_blocks(&d, &occ_low, &blocks, 8);
     assert!(
         r_low.cycles > r_high.cycles,
         "1 block/SMX ({}) must be slower than 8 ({})",
