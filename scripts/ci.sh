@@ -14,6 +14,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
+# Paper-scale output guard: every gate above runs at test scale. One short
+# pass of each perfbench workload must reproduce its committed digest (a
+# fold of every simulated statistic), so a change to paper-scale simulated
+# output fails here.
+./scripts/perfbench_digests.sh
+
 # Profiler regression gates: golden counters must match the checked-in
 # snapshots byte-for-byte, and every workload must stay equivalent to its
 # scalar reference across the slave-size x np-type sweep.
