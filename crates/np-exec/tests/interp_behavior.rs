@@ -300,3 +300,23 @@ fn math_intrinsics_match_std() {
         assert!((got - expect).abs() < 1e-5, "lane {t}: {got} vs {expect}");
     }
 }
+
+/// Operands are evaluated left to right: an undeclared scalar read before
+/// an out-of-bounds load in the same expression faults first, as itself.
+#[test]
+fn undeclared_operand_faults_before_a_later_sibling_load() {
+    use np_exec::{ExecError, FaultKind};
+    let mut b = KernelBuilder::new("order", 32);
+    b.param_global_f32("a");
+    b.param_global_f32("out");
+    b.store("out", tidx(), v("ghost") + load("a", tidx() + i(100)));
+    let k = b.finish();
+    let mut args = Args::new().buf_f32("a", vec![0.0; 32]).buf_f32("out", vec![0.0; 32]);
+    match launch(&dev(), &k, Dim3::x1(1), &mut args, &SimOptions::full()) {
+        Err(ExecError::Fault(f)) => match f.kind {
+            FaultKind::UndeclaredName { ref name } => assert_eq!(name, "ghost"),
+            ref other => panic!("expected UndeclaredName, got {other:?}"),
+        },
+        other => panic!("expected a fault, got {other:?}"),
+    }
+}
